@@ -9,7 +9,7 @@
 #                   RACE_PKGS completeness) + staticcheck/govulncheck
 #                   when installed
 #   make test-race - race-detector pass (the 32-goroutine shared-Solver
-#                   stress, the partitioned kernel, the pools)
+#                   stress, the span-parallel kernel, the pools)
 #   make cover    - per-package coverage with a floor: fails when any of
 #                   internal/{kernel,order,sparse,core} drops below
 #                   $(COVER_FLOOR)% statement coverage
@@ -20,13 +20,8 @@
 #                   vs sequential one-shot Solve throughput rows into
 #                   BENCH_results.json
 #   make bench-reorder - the graph-layout comparison on a >=100k-node
-#                   Kronecker graph (PR 2 wide/natural layout vs the
-#                   compact-index + auto-reordered one), archived into
-#                   BENCH_results.json
-#   make bench-partition - the partition-parallel plane vs the PR 3
-#                   baseline on the same large Kronecker graph
-#                   (partitions 1..GOMAXPROCS + the span pool), archived
-#                   into BENCH_results.json
+#                   Kronecker graph (natural order vs the auto-reordered
+#                   layout), archived into BENCH_results.json
 #   make bench-update - the dynamic-plane benchmark on the same large
 #                   Kronecker graph: Update round-trip (overlay commit +
 #                   epoch swap + re-solve) warm vs cold, plus the
@@ -51,11 +46,16 @@
 #                   2x-saturation shed/recovery test, the WAL-broken
 #                   degraded-mode flip, and the lsbpd daemon boot/drain
 #                   round trip — under -race
+#   make fuzz     - time-boxed coverage-guided fuzzing of the differential
+#                   harness: FUZZTIME (default 30s) per fuzz target; plain
+#                   `go test` only replays the seed corpora. Not part of
+#                   verify
 #
 # Tuning knobs (see EXPERIMENTS.md):
 #   LSBP_BENCH_MAXGRAPH=N  largest Fig. 6a Kronecker graph to bench (1-9)
-#   LSBP_BENCH_REORDER_POWER=P  Kronecker power of the layout/partition
-#                   benchmarks (default 11 = 177,147 nodes)
+#   LSBP_BENCH_REORDER_POWER=P  Kronecker power of the layout, update,
+#                   residual and durable benchmarks (default 11 = 177,147
+#                   nodes)
 #   LSBP_BENCH_RESIDUAL_EPS=E  skip bench-residual's one-time auto-εH
 #                   spectral derivation (minutes at power 11) and use E
 #                   (deterministic per power; 0.01497919... at 11)
@@ -74,7 +74,7 @@ RACE_PKGS = ./internal/kernel/ ./internal/linbp/ ./internal/sparse/ ./internal/f
 	./internal/learn/ ./internal/mooij/ ./internal/relalgo/ ./internal/spectral/ \
 	./internal/serve/ ./internal/metrics/
 
-.PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-partition bench-update bench-residual bench-durable race test-race crash
+.PHONY: verify test fmt vet build cover lint bench bench-quick bench-batch bench-reorder bench-update bench-residual bench-durable race test-race crash
 
 verify: build fmt vet lint test test-race crash
 
@@ -146,10 +146,6 @@ bench-reorder:
 	$(GO) test -bench 'BenchmarkReorder' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_results.json
 	@echo wrote BENCH_results.json
 
-bench-partition:
-	$(GO) test -bench 'BenchmarkPartition' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_results.json
-	@echo wrote BENCH_results.json
-
 bench-update:
 	$(GO) test -bench 'BenchmarkUpdate' -benchmem -run '^$$' -benchtime $(BENCHTIME) . | $(GO) run ./cmd/benchjson > BENCH_results.json
 	@echo wrote BENCH_results.json
@@ -173,3 +169,17 @@ bench-serve:
 .PHONY: loadtest
 loadtest:
 	$(GO) test -race -count=1 -run 'TestClosedLoopOverload|TestDegradedModeOnWALBreak|TestEveryShedPathIsTyped|TestDaemon' ./internal/serve/ ./cmd/lsbpd/
+
+# Time-boxed fuzzing of the differential harness, one target at a time
+# (go test -fuzz takes a single target). A crasher is written under
+# internal/difftest/testdata/fuzz/<target>/; commit it so plain go test
+# replays it as a regression seed.
+FUZZTIME ?= 30s
+FUZZ_TARGETS = FuzzLinBPEquivalence FuzzDynamicEquivalence FuzzResidualSchedule
+
+.PHONY: fuzz
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime $(FUZZTIME) ./internal/difftest/; \
+	done

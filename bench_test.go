@@ -484,17 +484,15 @@ func reorderBenchPower() int {
 // Kronecker workload (5 fixed LinBP rounds per solve, the paper's
 // timing convention; same tol/iters across variants):
 //
-//   - pr2_wide_natural — the PR 2 data plane: natural node order, wide
-//     (int) CSR indices, the original row kernels;
-//   - compact_natural — the compact-index layout (int32 stream +
-//     hoisted kernels), natural order;
-//   - compact_auto — compact indices plus the auto-chosen prepare-time
-//     reordering (what Prepare does by default on graphs this size).
+//   - compact_natural — natural node order;
+//   - compact_auto — the auto-chosen prepare-time reordering (what
+//     Prepare does by default on graphs this size).
 //
-// The acceptance bar of the layout PR is compact_auto ≥ 1.3× faster
-// than pr2_wide_natural. The few B/op shown are the ErrNotConverged
-// wrap of the fixed-round convention; the converged serving path stays
-// at 0 allocs/op under every layout (TestReorderingZeroAlloc).
+// Both run the int32-index CSR (the only index width); the row names
+// keep their archived spelling so BENCH_results.json rows stay
+// comparable. The few B/op shown are the ErrNotConverged wrap of the
+// fixed-round convention; the converged serving path stays at 0
+// allocs/op under every layout (TestReorderingZeroAlloc).
 func BenchmarkReorderLinBP(b *testing.B) {
 	power := reorderBenchPower()
 	g := gen.Kronecker(power)
@@ -506,7 +504,6 @@ func BenchmarkReorderLinBP(b *testing.B) {
 		name string
 		opts []core.Option
 	}{
-		{"pr2_wide_natural", []core.Option{core.WithReordering(core.ReorderNone), core.WithCompactIndices(false)}},
 		{"compact_natural", []core.Option{core.WithReordering(core.ReorderNone)}},
 		{"compact_auto", []core.Option{core.WithReordering(core.ReorderAuto)}},
 	} {
@@ -535,7 +532,7 @@ func BenchmarkReorderLinBP(b *testing.B) {
 
 // BenchmarkReorderSolveBatch extends the layout comparison to the fused
 // multi-request path: one 4-request SolveBatch per op over the same
-// large Kronecker graph, PR 2 layout vs the auto-reordered compact one.
+// large Kronecker graph under the auto-chosen reordering.
 func BenchmarkReorderSolveBatch(b *testing.B) {
 	power := reorderBenchPower()
 	g := gen.Kronecker(power)
@@ -552,7 +549,6 @@ func BenchmarkReorderSolveBatch(b *testing.B) {
 		name string
 		opts []core.Option
 	}{
-		{"pr2_wide_natural", []core.Option{core.WithReordering(core.ReorderNone), core.WithCompactIndices(false)}},
 		{"compact_auto", []core.Option{core.WithReordering(core.ReorderAuto)}},
 	} {
 		opts := append([]core.Option{core.WithMaxIter(timingIters), core.WithTol(-1)}, tc.opts...)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/linbp"
 	"repro/internal/sbp"
+	"repro/internal/sparse"
 )
 
 // Sentinel errors of the solver API, re-exported from the shared leaf
@@ -104,6 +105,11 @@ func (p *Problem) Validate() error {
 	if p.EpsilonH < 0 {
 		return fmt.Errorf("core: negative EpsilonH: %w", errs.ErrInvalidInput)
 	}
+	// The adjacency's int32 index bounds the node count and the number
+	// of stored entries (checked with the edge weights below).
+	if n := p.Graph.N(); n > sparse.MaxIndex {
+		return fmt.Errorf("core: %d nodes exceed the index range %d: %w", n, sparse.MaxIndex, errs.ErrInvalidInput)
+	}
 	// A non-square Ho is rejected explicitly: comparing only K against
 	// Ho.Rows() would let e.g. a k×(k+1) matrix slip through to the
 	// per-method code paths.
@@ -124,11 +130,21 @@ func (p *Problem) Validate() error {
 	}
 	// graph.AddEdge rejects w <= 0 but NaN fails that comparison too, so
 	// NaN (and +Inf) weights can reach a built graph; catch them here
-	// before they poison the fixpoint.
+	// before they poison the fixpoint. The entry count is taken before
+	// parallel edges merge (two per edge, one per self-loop), an upper
+	// bound on what the adjacency stores.
+	entries := 0
 	for _, e := range p.Graph.Edges() {
 		if math.IsNaN(e.W) || math.IsInf(e.W, 0) {
 			return fmt.Errorf("core: edge (%d,%d) has weight %v: %w", e.S, e.T, e.W, errs.ErrNonFinite)
 		}
+		entries += 2
+		if e.S == e.T {
+			entries--
+		}
+	}
+	if entries > sparse.MaxIndex {
+		return fmt.Errorf("core: %d adjacency entries exceed the index range %d: %w", entries, sparse.MaxIndex, errs.ErrInvalidInput)
 	}
 	return p.Explicit.Validate()
 }

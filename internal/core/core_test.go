@@ -1,14 +1,17 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/beliefs"
 	"repro/internal/coupling"
+	"repro/internal/errs"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/sparse"
 )
 
 func torusProblem(t *testing.T, eps float64) *Problem {
@@ -43,6 +46,14 @@ func TestValidate(t *testing.T) {
 	bad3.Graph = nil
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("nil graph must fail")
+	}
+	// A node count beyond the int32 adjacency index is an input error,
+	// reported before the belief shapes are compared (so nothing of
+	// that size is ever allocated).
+	bad4 := *p
+	bad4.Graph = graph.New(sparse.MaxIndex + 1)
+	if err := bad4.Validate(); !errors.Is(err, errs.ErrInvalidInput) {
+		t.Fatalf("n beyond the index range: err = %v, want ErrInvalidInput", err)
 	}
 }
 

@@ -13,10 +13,9 @@
 // snapshot's fold point.
 //
 // Open is the recovery path: load + verify the snapshot (cold start
-// is a map-and-validate, not a re-Prepare — no reordering, no
-// partitioning, no epsilon search), replay the intact WAL prefix into
-// the dynamic state, commit it as one epoch, and checkpoint so the
-// next crash replays nothing.
+// is a map-and-validate, not a re-Prepare — no reordering, no epsilon
+// search), replay the intact WAL prefix into the dynamic state, commit
+// it as one epoch, and checkpoint so the next crash replays nothing.
 package core
 
 import (
@@ -207,17 +206,17 @@ func (d *dynSolver) snapshotImageLocked(seq uint64) (*durable.Snapshot, error) {
 		}
 		a = g.Adjacency()
 	}
+	// The format stores row pointers as i64 (widened here) and column
+	// indices as i32, which is the CSR's own index width.
 	rowPtr, colIdx, vals := a.Index()
-	img.RowPtr, img.Vals = rowPtr, vals
-	if _, ci32, ok := a.CompactIndex(); ok {
-		img.ColIdx32 = ci32
-	} else {
-		img.ColIdx = colIdx
+	img.RowPtr = make([]int, len(rowPtr))
+	for i, p := range rowPtr {
+		img.RowPtr[i] = int(p)
 	}
+	img.ColIdx32, img.Vals = colIdx, vals
 	if d.perm != nil {
 		img.Perm = []int(d.perm)
 	}
-	img.PartStarts = d.partStarts
 	img.HO = d.ho.Data()
 	exp := d.exp
 	if exp == nil {
@@ -340,17 +339,23 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 			return nil, fmt.Errorf("core: open: %v: %w", err, errs.ErrCorruptState)
 		}
 	}
-	if snap.PartStarts != nil {
-		if err := order.ValidateStarts(snap.PartStarts, n); err != nil {
-			return nil, fmt.Errorf("core: open: %v: %w", err, errs.ErrCorruptState)
+	// Format-1 snapshots may also carry a partition-boundary section,
+	// which this reader ignores, and an i64 column-index section, which
+	// it narrows to the CSR's int32 width with a range check.
+	if n > sparse.MaxIndex {
+		return nil, fmt.Errorf("core: open: snapshot n=%d exceeds the index range %d: %w", n, sparse.MaxIndex, errs.ErrCorruptState)
+	}
+	rowPtr, err := narrowIndex(snap.RowPtr, sparse.MaxIndex, "rowPtr")
+	if err != nil {
+		return nil, err
+	}
+	colIdx := snap.ColIdx32
+	if colIdx == nil {
+		if colIdx, err = narrowIndex(snap.ColIdx, n-1, "colIdx"); err != nil {
+			return nil, err
 		}
 	}
-	var a *sparse.CSR
-	if snap.ColIdx32 != nil {
-		a, err = sparse.NewCSRFromCompact(n, n, snap.RowPtr, snap.ColIdx32, snap.Vals)
-	} else {
-		a, err = sparse.NewCSRFromRaw(n, n, snap.RowPtr, snap.ColIdx, snap.Vals)
-	}
+	a, err := sparse.NewCSRFromRaw(n, n, rowPtr, colIdx, snap.Vals)
 	if err != nil {
 		return nil, fmt.Errorf("core: open: %v: %w", err, errs.ErrCorruptState)
 	}
@@ -391,7 +396,7 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 	rp, ci, vs := adj.Index()
 	for i := 0; i < n; i++ {
 		for p := rp[i]; p < rp[i+1]; p++ {
-			if j := ci[p]; j >= i {
+			if j := int(ci[p]); j >= i {
 				g.AddEdge(i, j, vs[p])
 			}
 		}
@@ -403,13 +408,7 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 		if snap.GraphOrder {
 			return nil, fmt.Errorf("core: open: kernel method with graph-order matrix: %w", errs.ErrCorruptState)
 		}
-		if snap.PartStarts != nil {
-			st := order.StatsForStarts(a, snap.PartStarts)
-			info.partitions = st.Blocks()
-			info.cutEdges = st.CutEdges
-			info.imbalance = st.Imbalance
-		}
-		lay := kernelLayout{a: a, perm: perm, partStarts: snap.PartStarts}
+		lay := kernelLayout{a: a, perm: perm}
 		if m == MethodFABP {
 			lay.d = a.RowSumsSquared()
 			inner, err = newFABPSolverOn(snap.EpsH*ho.At(0, 0), info, cfg, lay)
@@ -429,7 +428,7 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 	}
 
 	d := &dynSolver{method: m, cfg: cfg, ho: ho, srcGraph: g, srcExp: exp}
-	d.info, d.perm, d.partStarts = info, perm, snap.PartStarts
+	d.info, d.perm = info, perm
 	if !snap.GraphOrder {
 		d.layoutA = a
 	}
@@ -437,6 +436,20 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 	d.cur.Store(&epochState{snap: inner})
 	d.dur = &durability{fs: fsys, dir: dir, pol: cfg.durPol, seq: snap.WALSeq, release: nil}
 	return d, nil
+}
+
+// narrowIndex converts a wide (i64) snapshot index section to the
+// CSR's int32 form, rejecting any entry outside [0, limit] as corrupt
+// state before it can wrap.
+func narrowIndex(wide []int, limit int, what string) ([]int32, error) {
+	out := make([]int32, len(wide))
+	for i, v := range wide {
+		if v < 0 || v > limit {
+			return nil, fmt.Errorf("core: open: %s[%d] = %d outside [0, %d]: %w", what, i, v, limit, errs.ErrCorruptState)
+		}
+		out[i] = int32(v)
+	}
+	return out, nil
 }
 
 // recoverLocked replays the WAL's intact prefix into the maintained

@@ -10,6 +10,7 @@ import (
 	"repro/internal/durable"
 	"repro/internal/errs"
 	"repro/internal/graph"
+	"repro/internal/order"
 )
 
 var durTight = []Option{WithMaxIter(500), WithTol(1e-13)}
@@ -242,5 +243,110 @@ func TestKernelDivergenceSurfacesNonFinite(t *testing.T) {
 	}
 	if st := s.Stats(); st.NotConverged == 0 {
 		t.Errorf("divergence not counted as NotConverged: %+v", st)
+	}
+}
+
+// legacySnapshot builds the format-1 image an earlier writer could
+// publish for a kernel method: an i64 ("wide") column-index section
+// and a partition-boundary section next to the layout-ordered CSR.
+func legacySnapshot(p *Problem, m Method, perm order.Permutation) *durable.Snapshot {
+	a, ordering := p.Graph.Adjacency(), ReorderNone
+	if perm != nil {
+		a, ordering = a.Permute(perm), ReorderRCM
+	}
+	rp, ci, vals := a.Index()
+	n := p.Graph.N()
+	img := &durable.Snapshot{
+		Method: uint32(m), Ordering: ordering.Code(), N: n, K: p.K(), EpsH: p.EpsilonH,
+		PartStarts: []int{0, n / 3, n},
+		RowPtr:     make([]int, len(rp)),
+		ColIdx:     make([]int, len(ci)),
+		Vals:       vals,
+		HO:         p.Ho.Data(),
+		Explicit:   p.Explicit.Matrix().Data(),
+	}
+	if perm != nil {
+		img.Perm = []int(perm)
+	}
+	for i, v := range rp {
+		img.RowPtr[i] = int(v)
+	}
+	for i, v := range ci {
+		img.ColIdx[i] = int(v)
+	}
+	return img
+}
+
+// TestOpenReadsLegacyFormat pins the on-disk compatibility promise of
+// format version 1: a snapshot with a wide column-index section and a
+// partition-boundary section opens, and serves the fixpoint of a fresh
+// Prepare of the same problem within 1e-12.
+func TestOpenReadsLegacyFormat(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    Method
+		k    int
+		rcm  bool
+	}{
+		{"LinBP/natural", MethodLinBP, 3, false},
+		{"LinBP/rcm", MethodLinBP, 3, true},
+		{"FABP/natural", MethodFABP, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := randomProblem(t, 90, 200, tc.k, 0.05, 43)
+			var perm order.Permutation
+			if tc.rcm {
+				perm = order.RCM(p.Graph.Adjacency())
+			}
+			fs := durable.NewMemFS()
+			if err := durable.WriteSnapshot(fs, "legacy", legacySnapshot(p, tc.m, perm)); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenFS(fs, "legacy", durTight...)
+			if err != nil {
+				t.Fatalf("OpenFS on a legacy snapshot: %v", err)
+			}
+			defer s.Close()
+			got := beliefs.New(p.Graph.N(), tc.k)
+			if _, err := s.SolveInto(context.Background(), got, p.Explicit); err != nil && !errors.Is(err, ErrNotConverged) {
+				t.Fatal(err)
+			}
+			want := freshSolve(t, p, tc.m, p.Explicit, durTight...)
+			if d := maxAbsDiff(got, want); d > 1e-12 {
+				t.Fatalf("legacy snapshot serves a fixpoint %g away from a fresh Prepare", d)
+			}
+		})
+	}
+}
+
+// TestOpenRejectsOutOfRangeWideIndex pins the narrowing check of the
+// legacy wide sections: an i64 column index at or beyond n (or a row
+// pointer beyond the int32 range) is corrupt state, never a wrapped
+// int32 index.
+func TestOpenRejectsOutOfRangeWideIndex(t *testing.T) {
+	p := randomProblem(t, 60, 120, 3, 0.05, 47)
+	n := p.Graph.N()
+	for name, corrupt := range map[string]func(*durable.Snapshot){
+		"colIdx = n":        func(s *durable.Snapshot) { s.ColIdx[len(s.ColIdx)/2] = n },
+		"colIdx wraps to 0": func(s *durable.Snapshot) { s.ColIdx[0] = 1 << 32 },
+		"colIdx negative":   func(s *durable.Snapshot) { s.ColIdx[1] = -1 },
+		"rowPtr beyond int32": func(s *durable.Snapshot) {
+			s.RowPtr[1] = 1<<32 + s.RowPtr[1]
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			img := legacySnapshot(p, MethodLinBP, nil)
+			corrupt(img)
+			fs := durable.NewMemFS()
+			if err := durable.WriteSnapshot(fs, "legacy", img); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := OpenFS(fs, "legacy"); !errors.Is(err, ErrCorruptState) {
+				if s != nil {
+					s.Close()
+				}
+				t.Fatalf("OpenFS = %v, want ErrCorruptState", err)
+			}
+		})
 	}
 }

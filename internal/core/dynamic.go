@@ -8,9 +8,8 @@
 //     layout-ordered CSR (sparse.Overlay: weight additions plus
 //     tombstones). Committing a topology update materializes the merged
 //     adjacency by one merged-row pass — no COO rebuild, no reordering
-//     recompute, no partition recompute — and builds a fresh snapshot
-//     on it, reusing the prepare-time permutation and partition
-//     boundaries.
+//     recompute — and builds a fresh snapshot on it, reusing the
+//     prepare-time permutation.
 //   - The snapshot swap is RCU-style: the current-epoch pointer is
 //     swapped atomically, solves already in flight drain on the old
 //     snapshot (its Close waits for them), and new solves land on the
@@ -29,9 +28,8 @@
 //     the iteration count, never the answer). BP and SBP re-solve cold.
 //   - When the overlay's delta-cell count crosses
 //     UpdatePolicy.CompactionRatio × base nnz, the commit becomes a
-//     compaction rebuild: the reordering strategy and the partitioner
-//     replay on the merged graph and the overlay rebases onto the
-//     fresh layout.
+//     compaction rebuild: the reordering strategy replays on the
+//     merged graph and the overlay rebases onto the fresh layout.
 //
 // Convergence caveat: εH (including a WithAutoEpsilonH derivation) is
 // fixed at preparation time. Edge insertions raise the spectral radius
@@ -85,11 +83,10 @@ type UpdatePolicy struct {
 	// CompactionRatio is the overlay-growth threshold that triggers a
 	// compaction rebuild: when the accumulated delta cells exceed
 	// CompactionRatio × base nnz, the commit replays the reordering
-	// strategy and the partitioner on the merged graph instead of
-	// merging over the stale layout. <= 0 selects
-	// DefaultCompactionRatio; a very small positive value forces a
-	// rebuild on every topology update (the differential tests use
-	// this), a huge one disables compaction.
+	// strategy on the merged graph instead of merging over the stale
+	// layout. <= 0 selects DefaultCompactionRatio; a very small
+	// positive value forces a rebuild on every topology update (the
+	// differential tests use this), a huge one disables compaction.
 	CompactionRatio float64
 	// DisableWarmStart makes Update re-solve from the Bˆ = 0 cold start
 	// instead of the previous fixpoint (for benchmarking the warm-start
@@ -143,7 +140,6 @@ type dynSolver struct {
 	layoutA    *sparse.CSR       // prepare-time layout CSR (kernel methods)
 	overlay    *sparse.Overlay   // delta overlay (kernel methods)
 	perm       order.Permutation
-	partStarts []int
 	info       solverInfo
 	baseNNZ    int
 	deltaCells int
@@ -195,9 +191,9 @@ func newDynSolver(p *Problem, m Method, cfg config, inner snapshot) *dynSolver {
 	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcGraph: p.Graph, srcExp: p.Explicit}
 	switch s := inner.(type) {
 	case *linbpSolver:
-		d.info, d.perm, d.partStarts, d.layoutA = s.solverInfo, s.perm, s.partStarts, s.a
+		d.info, d.perm, d.layoutA = s.solverInfo, s.perm, s.a
 	case *fabpSolver:
-		d.info, d.perm, d.partStarts, d.layoutA = s.solverInfo, s.perm, s.partStarts, s.a
+		d.info, d.perm, d.layoutA = s.solverInfo, s.perm, s.a
 	case *bpSolver:
 		d.info, d.perm = s.solverInfo, s.perm
 	case *sbpSolver:
@@ -556,8 +552,8 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 	var err error
 	switch {
 	case compact:
-		// Replay the layout optimizer and (for the kernel methods) the
-		// partitioner on the merged graph, exactly as Prepare would.
+		// Replay the layout optimizer on the merged graph, exactly as
+		// Prepare would.
 		a := d.g.Adjacency()
 		if d.cfg.autoEps && d.method != MethodSBP {
 			// Compaction already replays the layout on the merged graph;
@@ -588,8 +584,6 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 			if perm != nil {
 				la = a.Permute(perm)
 			}
-			info.partitions, info.cutEdges, info.imbalance = 0, 0, 0
-			d.partStarts = resolvePartition(d.cfg.partitions, d.cfg.workers, la, &info)
 			d.overlay.Rebase(la)
 			d.layoutA = la
 			d.baseNNZ = la.NNZ()
@@ -603,15 +597,7 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 			d.rebuilds.Add(1)
 		}
 	case kernelMethod:
-		merged := d.overlay.Merge()
-		if d.partStarts != nil {
-			// Keep the partition diagnostics honest while the structure
-			// drifts under the fixed prepare-time boundaries.
-			st := order.StatsForStarts(merged, d.partStarts)
-			info.cutEdges = st.CutEdges
-			info.imbalance = st.Imbalance
-		}
-		snap, err = d.buildKernelSnapshot(merged, info)
+		snap, err = d.buildKernelSnapshot(d.overlay.Merge(), info)
 	default:
 		snap, err = d.buildGraphSnapshot(info)
 	}
@@ -657,12 +643,11 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 }
 
 // buildKernelSnapshot prepares a kernel-backed snapshot over the given
-// layout-ordered adjacency, reusing the current permutation and
-// partition boundaries. Degrees are re-derived from the matrix itself
+// layout-ordered adjacency, reusing the current permutation. Degrees are re-derived from the matrix itself
 // (one O(nnz) pass), so LinBP's echo term always matches the merged
 // weights.
 func (d *dynSolver) buildKernelSnapshot(a *sparse.CSR, info solverInfo) (snapshot, error) {
-	lay := kernelLayout{a: a, perm: d.perm, partStarts: d.partStarts}
+	lay := kernelLayout{a: a, perm: d.perm}
 	switch d.method {
 	case MethodFABP:
 		lay.d = a.RowSumsSquared()

@@ -47,21 +47,19 @@ import (
 type Option func(*config)
 
 type config struct {
-	workers    int
-	maxIter    int
-	tol        float64
-	echo       bool
-	echoSet    bool
-	autoEps    bool
-	reorder    Reordering
-	layout     kernel.Layout
-	partitions int
-	schedule   Schedule
-	policy     UpdatePolicy
-	durFS      durable.FS
-	durDir     string
-	durPol     durable.Policy
-	durSet     bool
+	workers  int
+	maxIter  int
+	tol      float64
+	echo     bool
+	echoSet  bool
+	autoEps  bool
+	reorder  Reordering
+	schedule Schedule
+	policy   UpdatePolicy
+	durFS    durable.FS
+	durDir   string
+	durPol   durable.Policy
+	durSet   bool
 }
 
 // Reordering selects the prepare-time graph layout strategy; see
@@ -90,8 +88,6 @@ func ParseReordering(name string) (Reordering, error) { return order.ParseStrate
 // WithWorkers sets the goroutine count of the fused kernel's
 // row-partitioned parallel pass (LinBP, LinBP*, FABP, and their
 // batches). 0 or 1 selects the serial kernel. BP and SBP ignore it.
-// While WithPartitions is active the partitioned plane replaces the
-// span pool, and Workers only seeds the auto partition count.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithMaxIter bounds the update rounds of iterative methods
@@ -126,46 +122,6 @@ func WithAutoEpsilonH() Option { return func(c *config) { c.autoEps = true } }
 // extra steady-state allocations on SolveInto or SolveBatch. Stats()
 // reports the ordering chosen and the bandwidth before/after.
 func WithReordering(r Reordering) Option { return func(c *config) { c.reorder = r } }
-
-// WithCompactIndices toggles the engines' compact (int32) CSR index
-// layout, on by default whenever the matrix fits it. Turning it off
-// restores the wide layout of PR 2; layout benchmarks and debugging are
-// the only reasons to do so.
-func WithCompactIndices(on bool) Option {
-	return func(c *config) {
-		if on {
-			c.layout = kernel.LayoutCompact
-		} else {
-			c.layout = kernel.LayoutWide
-		}
-	}
-}
-
-// PartitionsAuto asks WithPartitions to size the partition-parallel
-// plane automatically: serving-scale graphs get one partition per
-// kernel worker (or GOMAXPROCS when Workers is unset, capped at
-// maxAutoPartitions); small cache-resident graphs keep the
-// unpartitioned plane.
-const PartitionsAuto = -1
-
-// maxAutoPartitions caps the automatically chosen partition count: the
-// partitioned plane exists to pin blocks to sockets/cores, and past a
-// modest worker count the per-round merge step costs more than further
-// splitting buys.
-const maxAutoPartitions = 16
-
-// WithPartitions selects the kernel's partition-parallel data plane for
-// the kernel-backed methods (LinBP, LinBP*, FABP, and their batches):
-// the layout-ordered adjacency is split into n contiguous nnz-balanced
-// row blocks (order.PartitionRows), and each prepared engine binds one
-// persistent OS-thread-locked worker per block with first-touched
-// private block state and partition-local delta accumulators — one
-// merge/exchange step per round instead of span stealing. n = 1 runs a
-// single-block partitioned plane (the overhead baseline);
-// PartitionsAuto sizes the plane from the graph and worker count; 0
-// (the default) disables it. BP and SBP ignore partitions. Stats()
-// reports the partition count, cut edges, and nnz imbalance.
-func WithPartitions(n int) Option { return func(c *config) { c.partitions = n } }
 
 // Schedule selects the execution schedule of the kernel-backed methods
 // (LinBP, LinBP*, FABP); see WithSchedule. The zero value is
@@ -297,14 +253,6 @@ type SolverStats struct {
 	// under the natural and the chosen ordering (equal when Ordering
 	// is none).
 	BandwidthBefore, BandwidthAfter int
-	// Partitions is the row-block count of the partition-parallel
-	// plane (0 when the plane is off — the default — or the method
-	// does not use the fused kernel). CutEdges counts the stored
-	// adjacency entries crossing block boundaries and Imbalance is the
-	// heaviest block's nnz relative to the ideal per-block share
-	// (1.0 = perfectly balanced); both are 0 when Partitions is 0.
-	Partitions, CutEdges int
-	Imbalance            float64
 	// Schedule is the execution schedule of the kernel-backed methods
 	// (always ScheduleRounds for BP and SBP, which have no alternative
 	// plane).
@@ -312,10 +260,9 @@ type SolverStats struct {
 	// Epoch is the number of snapshot swaps the dynamic plane has
 	// performed (0 until the first topology Update); Updates counts
 	// committed Update calls, Rebuilds the subset that triggered a
-	// compaction relayout (reordering and partitioning replayed on the
-	// merged graph). OverlayNNZ is the number of delta cells currently
-	// accumulated over the prepared base — it resets to 0 at every
-	// compaction.
+	// compaction relayout (reordering replayed on the merged graph).
+	// OverlayNNZ is the number of delta cells currently accumulated
+	// over the prepared base — it resets to 0 at every compaction.
 	Epoch, Updates, Rebuilds int64
 	OverlayNNZ               int64
 	// Solves counts completed Solve/SolveInto calls; BatchRequests
@@ -502,7 +449,7 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 		base.schedule = cfg.schedule
 	default:
 		// BP and SBP have no residual plane; they ignore the schedule
-		// the way they ignore Workers and Partitions.
+		// the way they ignore Workers.
 	}
 
 	// The layout optimizer runs once per prepared solver: resolve the
@@ -565,39 +512,6 @@ func permutedLayout(a *sparse.CSR, d []float64, perm order.Permutation) (*sparse
 	return ap, dp
 }
 
-// resolvePartition turns the WithPartitions setting into concrete block
-// boundaries over the layout-ordered adjacency, recording the partition
-// diagnostics in base. It returns nil (no partitioned plane) when the
-// setting is 0 or the auto heuristic keeps the unpartitioned plane.
-func resolvePartition(requested, workers int, a *sparse.CSR, base *solverInfo) []int {
-	parts := requested
-	if parts == 0 {
-		return nil
-	}
-	if parts < 0 { // PartitionsAuto
-		if a.Rows() < order.AutoMinNodes {
-			// Cache-resident graphs: the merge step per round costs
-			// more than block locality buys.
-			return nil
-		}
-		parts = workers
-		if parts < 1 {
-			parts = runtime.GOMAXPROCS(0)
-		}
-		if parts > maxAutoPartitions {
-			parts = maxAutoPartitions
-		}
-		if parts < 2 {
-			return nil
-		}
-	}
-	p := order.PartitionRows(a, parts)
-	base.partitions = p.Blocks()
-	base.cutEdges = p.CutEdges
-	base.imbalance = p.Imbalance
-	return p.Starts
-}
-
 // autoEpsilon is AutoEpsilonH without the method restriction: half the
 // exact Lemma 8 threshold for the chosen echo setting.
 func autoEpsilon(g *graph.Graph, ho *dense.Matrix, echo bool) (float64, error) {
@@ -613,17 +527,16 @@ func autoEpsilon(g *graph.Graph, ho *dense.Matrix, echo bool) (float64, error) {
 
 // statePool hands out per-solve workspaces from a strong-reference
 // free list — deliberately not a sync.Pool: the pooled states own real
-// resources (kernel worker goroutines, OS-thread-locked partition
-// workers, message buffers), and a GC-evicting pool would strand those
-// engines in the Close registry while cache misses build ever more —
-// an unbounded leak of memory and locked threads under sustained
-// traffic. The free list keeps built states reusable until Close, so
+// resources (kernel worker goroutines, pooled workspaces, message
+// buffers), and a GC-evicting pool would strand those engines in the
+// Close registry while cache misses build ever more — an unbounded
+// leak of memory and goroutines under sustained traffic. The free list keeps built states reusable until Close, so
 // steady-state get/put allocate nothing and the mutex push/pop is
 // noise against a solve — but the retained population is bounded by
 // the maxFree high-water cap, not by peak concurrency: a burst of N
 // concurrent solves builds N states, and the ones beyond the cap are
-// destroyed as they come back instead of pinning their memory (and,
-// on the partitioned plane, their OS-thread-locked workers) forever.
+// destroyed as they come back instead of pinning their memory (and
+// their worker goroutines) forever.
 type statePool[T comparable] struct {
 	mu      sync.Mutex
 	free    []T
@@ -683,8 +596,8 @@ func (p *statePool[T]) get() (T, error) {
 
 // put returns a state for reuse, or destroys it when the free list is
 // already at its high-water cap — the path that lets memory (and
-// locked worker threads) return to the system after a concurrency
-// burst instead of being pinned until Close.
+// worker goroutines) return to the system after a concurrency burst
+// instead of being pinned until Close.
 //
 //lsbp:hotpath
 func (p *statePool[T]) put(v T) {
@@ -752,8 +665,6 @@ type solverInfo struct {
 
 	ordering              Reordering
 	bandBefore, bandAfter int
-	partitions, cutEdges  int
-	imbalance             float64
 	schedule              Schedule
 
 	// batchHint is the number of requests the method fuses into one
@@ -824,7 +735,6 @@ func (b *solverBase) Stats() SolverStats {
 	return SolverStats{
 		Method: b.method, N: b.n, K: b.k, Workers: b.workers, EpsilonH: b.eps,
 		Ordering: b.ordering, BandwidthBefore: b.bandBefore, BandwidthAfter: b.bandAfter,
-		Partitions: b.partitions, CutEdges: b.cutEdges, Imbalance: b.imbalance,
 		Schedule:  b.schedule,
 		BatchHint: bh,
 		Solves:    b.solves.Load(), Batches: b.batches.Load(), BatchRequests: b.batchReqs.Load(),
@@ -977,18 +887,16 @@ type linbpBatchEngine struct {
 // engines: a statePool of single-problem engines for Solve/SolveInto
 // and one statePool of fused multi-block engines per batch chunk size
 // for SolveBatch. All engines share the immutable graph CSR, degree
-// vector, coupling, and partition layout; only the mutable workspaces
+// vector, and coupling; only the mutable workspaces
 // are per-pool-entry, so concurrent solves never contend on state.
 type linbpSolver struct {
 	solverBase
-	a          *sparse.CSR // layout-ordered adjacency shared by all engines
-	d          []float64   // matching degrees (nil for LinBP*)
-	h          *dense.Matrix
-	perm       order.Permutation // nil = natural order
-	layout     kernel.Layout
-	partStarts []int // nil = unpartitioned plane
-	maxIter    int
-	tol        float64
+	a       *sparse.CSR // layout-ordered adjacency shared by all engines
+	d       []float64   // matching degrees (nil for LinBP*)
+	h       *dense.Matrix
+	perm    order.Permutation // nil = natural order
+	maxIter int
+	tol     float64
 
 	states *statePool[*linbp.Engine]
 	batch  []*statePool[*linbpBatchEngine] // index c-1 → chunks of c requests
@@ -1000,16 +908,14 @@ type linbpSolver struct {
 
 // kernelLayout is the concrete prepared layout a kernel-backed snapshot
 // runs on: the (possibly reordered) adjacency, its matching degree
-// vector (nil disables echo cancellation), the relabeling it was
-// produced under, and the partition boundaries. Prepare derives it from
-// the problem; the dynamic plane derives it from a merged overlay,
-// reusing the prepare-time permutation and partitions between
-// compactions.
+// vector (nil disables echo cancellation), and the relabeling it was
+// produced under. Prepare derives it from the problem; the dynamic
+// plane derives it from a merged overlay, reusing the prepare-time
+// permutation between compactions.
 type kernelLayout struct {
-	a          *sparse.CSR
-	d          []float64
-	perm       order.Permutation
-	partStarts []int
+	a    *sparse.CSR
+	d    []float64
+	perm order.Permutation
 }
 
 func newLinBPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*linbpSolver, error) {
@@ -1018,23 +924,18 @@ func newLinBPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutat
 		d = p.Graph.WeightedDegrees()
 	}
 	a, d := permutedLayout(p.Graph.Adjacency(), d, perm)
-	lay := kernelLayout{a: a, d: d, perm: perm,
-		partStarts: resolvePartition(cfg.partitions, cfg.workers, a, &base)}
-	return newLinBPSolverOn(coupling.Scale(p.Ho, base.eps), base, cfg, lay)
+	return newLinBPSolverOn(coupling.Scale(p.Ho, base.eps), base, cfg, kernelLayout{a: a, d: d, perm: perm})
 }
 
-// newLinBPSolverOn builds the snapshot on an explicit layout; base must
-// already carry the partition diagnostics for lay.partStarts.
+// newLinBPSolverOn builds the snapshot on an explicit layout.
 func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLayout) (*linbpSolver, error) {
 	s := &linbpSolver{
-		a:          lay.a,
-		d:          lay.d,
-		h:          h,
-		perm:       lay.perm,
-		layout:     cfg.layout,
-		partStarts: lay.partStarts,
-		maxIter:    cfg.maxIter,
-		tol:        cfg.tol,
+		a:       lay.a,
+		d:       lay.d,
+		h:       h,
+		perm:    lay.perm,
+		maxIter: cfg.maxIter,
+		tol:     cfg.tol,
 	}
 	s.solverInfo = base
 	if s.maxIter == 0 {
@@ -1050,8 +951,6 @@ func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLa
 			MaxIter:          s.maxIter,
 			Tol:              s.tol,
 			Workers:          s.workers,
-			Layout:           s.layout,
-			PartitionStarts:  s.partStarts,
 		})
 	}).withDestroy(func(e *linbp.Engine) { e.Close() })
 	s.batch = make([]*statePool[*linbpBatchEngine], s.maxBlocks())
@@ -1061,8 +960,7 @@ func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLa
 			ws := kernel.GetWorkspace()
 			eng, err := kernel.New(kernel.Config{
 				A: s.a, D: s.d, H: s.h,
-				Workers: s.workers, Blocks: c, Layout: s.layout,
-				SymmetricA: true, PartitionStarts: s.partStarts,
+				Workers: s.workers, Blocks: c, SymmetricA: true,
 			}, ws)
 			if err != nil {
 				ws.Release()
@@ -1079,13 +977,11 @@ func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLa
 			return linbp.NewResidualEngineLayout(s.a, s.d, s.h, s.perm, linbp.Options{
 				MaxIter: s.maxIter,
 				Tol:     s.tol,
-				Layout:  s.layout,
 			})
 		}).withDestroy(func(e *linbp.ResidualEngine) { e.Close() })
 	}
 	// Build (and pool) the first engine eagerly: it validates the
-	// configuration and triggers the shared CSR's compact-index build
-	// while preparation is still single-goroutine.
+	// configuration at Prepare time rather than on the first solve.
 	eng, err := s.states.get()
 	if err != nil {
 		return nil, err
@@ -1253,8 +1149,8 @@ func (s *linbpSolver) maxBlocks() int {
 // SolveBatch fuses the requests into multi-block kernel chunks: each
 // update round traverses the CSR once for every request in a chunk, so
 // a batch of R requests costs far less than R one-shot solves even on
-// a single core (and the chunks still run on the partitioned or
-// span-parallel plane when one is configured). Requests in a chunk
+// a single core (and the chunks still run on the span pool when
+// workers are configured). Requests in a chunk
 // share rounds: iteration stops once every request's delta is within
 // tolerance, and the shared round count and maximum delta are reported
 // for each. Results match the request's one-shot solve up to
@@ -1732,14 +1628,13 @@ type fabpState struct {
 // method.
 type fabpSolver struct {
 	solverBase
-	a          *sparse.CSR
-	d          []float64
-	hhat       float64
-	perm       order.Permutation
-	partStarts []int
-	maxIter    int
-	tol        float64
-	states     *statePool[*fabpState]
+	a       *sparse.CSR
+	d       []float64
+	hhat    float64
+	perm    order.Permutation
+	maxIter int
+	tol     float64
+	states  *statePool[*fabpState]
 }
 
 func newFABPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*fabpSolver, error) {
@@ -1747,29 +1642,25 @@ func newFABPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutati
 		return nil, fmt.Errorf("core: FABP needs k=2 classes, got k=%d: %w", p.K(), errs.ErrDimensionMismatch)
 	}
 	a, d := permutedLayout(p.Graph.Adjacency(), p.Graph.WeightedDegrees(), perm)
-	lay := kernelLayout{a: a, d: d, perm: perm,
-		partStarts: resolvePartition(cfg.partitions, cfg.workers, a, &base)}
 	// Any valid k=2 residual coupling has the form [[ĥ,−ĥ],[−ĥ,ĥ]];
 	// the scaled ĥ is its (0,0) entry.
-	return newFABPSolverOn(base.eps*p.Ho.At(0, 0), base, cfg, lay)
+	return newFABPSolverOn(base.eps*p.Ho.At(0, 0), base, cfg, kernelLayout{a: a, d: d, perm: perm})
 }
 
-// newFABPSolverOn builds the snapshot on an explicit layout; base must
-// already carry the partition diagnostics for lay.partStarts.
+// newFABPSolverOn builds the snapshot on an explicit layout.
 func newFABPSolverOn(hhat float64, base solverInfo, cfg config, lay kernelLayout) (*fabpSolver, error) {
 	s := &fabpSolver{
-		a:          lay.a,
-		d:          lay.d,
-		hhat:       hhat,
-		perm:       lay.perm,
-		partStarts: lay.partStarts,
-		maxIter:    cfg.maxIter,
-		tol:        cfg.tol,
+		a:       lay.a,
+		d:       lay.d,
+		hhat:    hhat,
+		perm:    lay.perm,
+		maxIter: cfg.maxIter,
+		tol:     cfg.tol,
 	}
 	s.solverInfo = base
 	s.states = newStatePool(func() (*fabpState, error) {
 		eng, err := fabp.NewEngineCSR(s.a, s.d, s.hhat, fabp.Options{
-			MaxIter: s.maxIter, Tol: s.tol, PartitionStarts: s.partStarts,
+			MaxIter: s.maxIter, Tol: s.tol,
 		})
 		if err != nil {
 			return nil, err

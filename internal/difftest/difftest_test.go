@@ -8,9 +8,9 @@ import (
 
 // TestDifferentialMatrix is the canonical equivalence suite: every
 // method × k ∈ {1,2,3,5} on two deterministic random instances, each
-// solved under the full configuration cross product (wide/compact ×
-// ordering × partitions × workers for the kernel-backed methods,
-// ordering for BP/SBP) and pinned to the reference within 1e-12.
+// solved under the full configuration cross product (ordering ×
+// workers for the kernel-backed methods, ordering for BP/SBP) and
+// pinned to the reference within 1e-12.
 func TestDifferentialMatrix(t *testing.T) {
 	RunMatrix(t, 350, 800, 7, core.WithMaxIter(60))
 }
@@ -24,24 +24,41 @@ func TestDifferentialMatrixFixedRounds(t *testing.T) {
 }
 
 // TestVariantsCoverAxes pins the harness itself: the kernel-backed
-// variant set must span both layouts, all three orderings, the
-// partition counts, and both worker settings.
+// variant set must span all three orderings and both worker settings,
+// and the dynamic set must add the schedule axis.
 func TestVariantsCoverAxes(t *testing.T) {
 	vs := Variants(core.MethodLinBP)
-	if len(vs) != 2*3*3*2 {
-		t.Fatalf("kernel variant count = %d, want %d", len(vs), 2*3*3*2)
+	if len(vs) != 3*2 {
+		t.Fatalf("kernel variant count = %d, want %d", len(vs), 3*2)
 	}
 	seen := map[string]bool{}
 	for _, v := range vs {
 		seen[v.Name] = true
 	}
 	for _, name := range []string{
-		"layout=compact/order=natural/parts=0/workers=0",
-		"layout=wide/order=degree/parts=3/workers=4",
-		"layout=compact/order=rcm/parts=1/workers=0",
+		"order=natural/workers=0",
+		"order=degree/workers=4",
+		"order=rcm/workers=0",
 	} {
 		if !seen[name] {
 			t.Fatalf("variant %q missing", name)
+		}
+	}
+	dvs := DynamicVariants(core.MethodLinBP)
+	if len(dvs) != 3*2*3 {
+		t.Fatalf("dynamic kernel variant count = %d, want %d", len(dvs), 3*2*3)
+	}
+	seen = map[string]bool{}
+	for _, v := range dvs {
+		seen[v.Name] = true
+	}
+	for _, name := range []string{
+		"order=natural/workers=0/schedule=rounds",
+		"order=degree/workers=2/schedule=residual",
+		"order=rcm/workers=2/schedule=auto",
+	} {
+		if !seen[name] {
+			t.Fatalf("dynamic variant %q missing", name)
 		}
 	}
 	if got := len(Variants(core.MethodBP)); got != 3 {

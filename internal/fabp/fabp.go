@@ -32,10 +32,6 @@ type Options struct {
 	MaxIter int
 	// Tol is the max-change stopping criterion (default 1e-12).
 	Tol float64
-	// PartitionStarts, when set, selects the kernel's partition-parallel
-	// data plane for the scalar collapse (see
-	// kernel.Config.PartitionStarts).
-	PartitionStarts []int
 }
 
 func (o Options) withDefaults() Options {
@@ -107,12 +103,11 @@ func NewEngineCSR(a *sparse.CSR, d []float64, hhat float64, opts Options) (*Engi
 	c1, c2 := Coefficients(hhat)
 	ws := kernel.GetWorkspace()
 	eng, err := kernel.New(kernel.Config{
-		A:               a,
-		D:               d,
-		SymmetricA:      true,
-		H:               dense.NewFromRows([][]float64{{c1}}),
-		EchoH:           dense.NewFromRows([][]float64{{c2}}),
-		PartitionStarts: opts.PartitionStarts,
+		A:          a,
+		D:          d,
+		SymmetricA: true,
+		H:          dense.NewFromRows([][]float64{{c1}}),
+		EchoH:      dense.NewFromRows([][]float64{{c2}}),
 	}, ws)
 	if err != nil {
 		ws.Release()

@@ -30,8 +30,7 @@ type ResidualEngine struct {
 // over an explicit adjacency layout, mirroring NewEngineCSR. opts.Tol
 // is the relaxation tolerance and must be positive (the residual
 // schedule has no fixed-round mode); opts.MaxIter bounds the work at
-// MaxIter·n row relaxations. opts.PartitionStarts is ignored — the
-// plane is sequential.
+// MaxIter·n row relaxations.
 func NewResidualEngineCSR(a *sparse.CSR, d []float64, hhat float64, opts Options) (*ResidualEngine, error) {
 	opts = opts.withDefaults()
 	if opts.Tol <= 0 {

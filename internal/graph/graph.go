@@ -8,12 +8,15 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 
+	"repro/internal/errs"
 	"repro/internal/sparse"
 )
 
@@ -356,6 +359,9 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 
 // ReadEdgeList parses "s t [w]" lines (w defaults to 1) into a graph with
 // n = 1 + max node id. Blank lines and lines starting with '#' are skipped.
+// Malformed lines, node ids outside [0, sparse.MaxIndex) (the adjacency
+// index range) and weights that are not positive and finite fail with
+// errs.ErrInvalidInput before any graph state is allocated.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	type line struct {
 		s, t int
@@ -374,25 +380,31 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		fields := strings.Fields(text)
 		if len(fields) < 2 || len(fields) > 3 {
-			return nil, fmt.Errorf("graph: line %d: want 's t [w]', got %q", ln, text)
+			return nil, fmt.Errorf("graph: line %d: want 's t [w]', got %q: %w", ln, text, errs.ErrInvalidInput)
 		}
 		s, err := strconv.Atoi(fields[0])
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad source: %v", ln, err)
+			return nil, fmt.Errorf("graph: line %d: bad source: %v: %w", ln, err, errs.ErrInvalidInput)
 		}
 		t, err := strconv.Atoi(fields[1])
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad target: %v", ln, err)
+			return nil, fmt.Errorf("graph: line %d: bad target: %v: %w", ln, err, errs.ErrInvalidInput)
 		}
 		w := 1.0
 		if len(fields) == 3 {
 			w, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d: bad weight: %v", ln, err)
+				return nil, fmt.Errorf("graph: line %d: bad weight: %v: %w", ln, err, errs.ErrInvalidInput)
+			}
+			if !(w > 0) || math.IsInf(w, 1) {
+				return nil, fmt.Errorf("graph: line %d: weight %v is not positive and finite: %w", ln, w, errs.ErrInvalidInput)
 			}
 		}
 		if s < 0 || t < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative node id", ln)
+			return nil, fmt.Errorf("graph: line %d: negative node id: %w", ln, errs.ErrInvalidInput)
+		}
+		if s >= sparse.MaxIndex || t >= sparse.MaxIndex {
+			return nil, fmt.Errorf("graph: line %d: node id beyond the index range [0, %d): %w", ln, sparse.MaxIndex, errs.ErrInvalidInput)
 		}
 		if s > maxID {
 			maxID = s
@@ -403,7 +415,10 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		lines = append(lines, line{s, t, w})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("graph: line %d: %v: %w", ln+1, err, errs.ErrInvalidInput)
+		}
+		return nil, fmt.Errorf("graph: read edge list: %w", err)
 	}
 	g := New(maxID + 1)
 	g.ReserveEdges(len(lines))

@@ -2,8 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/errs"
+	"repro/internal/sparse"
 )
 
 // fig5a builds the 7-node graph of Fig. 5a/5b: v1 is two hops from the
@@ -278,10 +282,40 @@ func TestReadEdgeListDefaultsAndComments(t *testing.T) {
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
-	for _, in := range []string{"0\n", "a b\n", "0 b\n", "0 1 x\n", "-1 2\n", "0 1 2 3\n"} {
-		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
-			t.Fatalf("input %q: expected error", in)
+	for _, in := range []string{
+		"0\n", "a b\n", "0 b\n", "0 1 x\n", "-1 2\n", "0 1 2 3\n",
+		"0 1 -2\n", "0 1 0\n", "0 1 NaN\n", "0 1 +Inf\n", // weights must be positive and finite
+		"0 99999999999999999999\n", // overflows int
+	} {
+		_, err := ReadEdgeList(strings.NewReader(in))
+		if !errors.Is(err, errs.ErrInvalidInput) {
+			t.Fatalf("input %q: err = %v, want ErrInvalidInput", in, err)
 		}
+	}
+}
+
+// TestReadEdgeListRejectsIDsBeyondIndexRange pins the input boundary of
+// the int32 adjacency index: a node id that cannot be a CSR index is a
+// typed input error, raised before a graph with billions of nodes is
+// ever allocated.
+func TestReadEdgeListRejectsIDsBeyondIndexRange(t *testing.T) {
+	for _, in := range []string{
+		"0 3000000000\n",
+		"2147483647 0\n", // n would be MaxIndex+1
+		"0 1\n1 2147483647 2\n",
+	} {
+		g, err := ReadEdgeList(strings.NewReader(in))
+		if !errors.Is(err, errs.ErrInvalidInput) {
+			t.Fatalf("input %q: graph=%v err=%v, want ErrInvalidInput", in, g != nil, err)
+		}
+	}
+	// The largest representable id still loads.
+	g, err := ReadEdgeList(strings.NewReader("2147483646 2147483646\n"))
+	if err != nil {
+		t.Fatalf("largest id rejected: %v", err)
+	}
+	if g.N() != sparse.MaxIndex {
+		t.Fatalf("n = %d, want %d", g.N(), sparse.MaxIndex)
 	}
 }
 

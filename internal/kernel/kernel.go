@@ -20,6 +20,15 @@
 // paper's JAVA implementation); each worker reduces a local max-delta
 // and the engine folds them at the join.
 //
+// The row kernels read the CSR's int32 index stream with every Engine
+// field the row loop touches (explicit beliefs, degrees, flags) copied
+// to locals up front: stores through the belief buffers keep the
+// compiler from proving the struct unchanged, so field reads inside the
+// loop would reload on every row. The k×k coupling coefficients are
+// read by constant index in the row epilogue instead of being held in
+// k² locals across the loop — Go's register allocator spills that many
+// long-lived floats straight through the sparse inner loop.
+//
 // Two serving-oriented hooks extend the basic round loop. RunContext
 // checks context cancellation at every round boundary, so a deadline or
 // cancel aborts a running solve within one kernel round. Config.Blocks
@@ -66,10 +75,6 @@ type Config struct {
 	// summation order of the blocked vs unrolled coupling multiply,
 	// ~1 ulp per round). Values <= 1 select the plain engine.
 	Blocks int
-	// Layout selects the CSR index representation; see Layout. The
-	// zero value (LayoutAuto) is right for every caller except layout
-	// benchmarks and debugging.
-	Layout Layout
 	// SymmetricA declares that A equals its transpose bitwise (true
 	// for every adjacency built from an undirected graph, including
 	// permuted ones). It licenses the push-based sparse round: the
@@ -81,42 +86,7 @@ type Config struct {
 	// the pull kernels term for term, so results stay bitwise
 	// identical.
 	SymmetricA bool
-	// PartitionStarts, when it holds at least two boundaries, selects
-	// the partition-parallel data plane (see partition.go): row block p
-	// covers [PartitionStarts[p], PartitionStarts[p+1]), one persistent
-	// OS-thread-locked worker per block with first-touched private CSR
-	// copies and partition-local delta accumulators. It must span
-	// [0, n) contiguously. Partitioned mode replaces the span pool, so
-	// Workers is ignored while it is set.
-	PartitionStarts []int
 }
-
-// Layout selects the CSR index representation of an engine.
-type Layout int
-
-const (
-	// LayoutAuto adopts the compact layout whenever the matrix fits
-	// int32 indices — in practice always; the wide form remains for
-	// beyond-int32 matrices and for A/B layout benchmarking.
-	LayoutAuto Layout = iota
-	// LayoutWide pins the engine to the original int-indexed kernels —
-	// the PR 2 data plane, kept verbatim as the comparison baseline
-	// and as the fallback for matrices whose dimensions or nonzero
-	// count exceed int32.
-	LayoutWide
-	// LayoutCompact forces the int32 form (falling back to wide when
-	// the matrix does not fit it).
-	LayoutCompact
-)
-
-// The compact kernels are separate, hand-hoisted implementations: the
-// int32 index stream halves the index bytes per traversal, and every
-// engine field the row loop touches (explicit beliefs, degrees, flags)
-// is copied to locals up front — stores through the output slice keep
-// the compiler from proving the Engine struct unchanged, so the
-// original methods reload those fields on every row. Both paths are
-// bitwise identical in arithmetic order (asserted by the equivalence
-// tests); only the bytes moved and the surrounding scaffolding differ.
 
 // span is one contiguous, nnz-balanced row range of a parallel pass.
 type span struct{ lo, hi int }
@@ -185,21 +155,19 @@ func growSlice(s []float64, n int) []float64 {
 // see New for the construction contract and Close for teardown.
 type Engine struct {
 	a *sparse.CSR
-	// Compact index form; nil on the wide (legacy) layout, which reads
-	// the CSR through RowView instead. vals aliases the CSR values.
-	rp32    []int32
-	ci32    []int32
-	vals    []float64
-	d       []float64
-	e       []float64 // explicit residuals Eˆ, flat n×wd; nil reads as 0
-	h, h2   []float64 // flat k×k coupling and echo coupling
-	n, k    int
-	blocks  int // independent solves batched into this engine
-	wd      int // row width: blocks·k
-	echo    bool
-	symA    bool // A is bitwise symmetric (Config.SymmetricA)
-	workers int
-	ws      *Workspace
+	// The CSR arrays the row kernels read; they alias a.
+	rowPtr, colIdx []int32
+	vals           []float64
+	d              []float64
+	e              []float64 // explicit residuals Eˆ, flat n×wd; nil reads as 0
+	h, h2          []float64 // flat k×k coupling and echo coupling
+	n, k           int
+	blocks         int // independent solves batched into this engine
+	wd             int // row width: blocks·k
+	echo           bool
+	symA           bool // A is bitwise symmetric (Config.SymmetricA)
+	workers        int
+	ws             *Workspace
 
 	// startZero marks that the belief state is the all-zero start of
 	// Section 3, letting the next Step shortcut to Bˆ¹ = Eˆ (the sparse
@@ -226,12 +194,6 @@ type Engine struct {
 	results chan float64
 	started bool
 	closed  bool
-
-	// Partition-parallel plane (see partition.go), spawned lazily on
-	// the first partitioned pass. Non-nil partStarts selects the plane.
-	partStarts  []int
-	partWorkers []*partWorker
-	partStarted bool
 }
 
 // New validates cfg and builds an engine on ws. A nil ws allocates a
@@ -263,11 +225,6 @@ func New(cfg Config, ws *Workspace) (*Engine, error) {
 	if blocks < 1 {
 		blocks = 1
 	}
-	if cfg.PartitionStarts != nil {
-		if err := validPartitionStarts(cfg.PartitionStarts, n); err != nil {
-			return nil, err
-		}
-	}
 	if ws == nil {
 		ws = new(Workspace)
 	}
@@ -286,17 +243,7 @@ func New(cfg Config, ws *Workspace) (*Engine, error) {
 		ws:      ws,
 		track:   true,
 	}
-	if len(cfg.PartitionStarts) >= 2 {
-		e.partStarts = cfg.PartitionStarts
-	}
-	// Pick the index layout once; the compact form is built lazily on
-	// the CSR and shared by every engine over the same graph.
-	if cfg.Layout != LayoutWide {
-		if rp32, ci32, ok := cfg.A.CompactIndex(); ok {
-			e.rp32, e.ci32 = rp32, ci32
-			_, _, e.vals = cfg.A.Index()
-		}
-	}
+	e.rowPtr, e.colIdx, e.vals = cfg.A.Index()
 	// Hoist H (and the echo coupling) into flat row-major slices once.
 	e.h = ws.hbuf[:k*k]
 	e.h2 = ws.hbuf[k*k : 2*k*k]
@@ -481,7 +428,7 @@ func (e *Engine) Step() float64 {
 		if e.sparseRoundEligible() {
 			// Push-based sparse round: touch only the entries incident
 			// to active rows instead of scanning the whole structure.
-			delta := e.sparseRoundCompact()
+			delta := e.sparseRound()
 			e.ws.cur, e.ws.next = e.ws.next, e.ws.cur
 			return delta
 		}
@@ -576,9 +523,6 @@ func (e *Engine) ApplyInto(dst, src []float64) {
 //
 //lsbp:hotpath
 func (e *Engine) pass() float64 {
-	if e.partStarts != nil {
-		return e.partPass()
-	}
 	if e.workers > 1 && e.n >= 2*e.workers {
 		e.startWorkers()
 		for _, s := range e.spans {
@@ -642,52 +586,18 @@ func (e *Engine) Close() {
 	if e.started && !e.closed {
 		close(e.work)
 	}
-	if e.partStarted && !e.closed {
-		for _, w := range e.partWorkers {
-			close(w.work)
-		}
-	}
 	e.closed = true
 }
 
 // rows processes rows [lo, hi) of one update round, fused: sparse
 // product, coupling multiply, echo term, and local max delta in a
 // single pass per row. scratch provides width floats of per-worker
-// storage for the generic/blocked path. The compact layout dispatches
-// to the hoisted int32 kernels; the wide layout runs the original
-// (PR 2) methods unchanged.
+// storage for the generic/blocked path. The unrolled kernels cover the
+// class counts and batch widths of the paper's workloads; every other
+// shape runs the blocked kernel.
 //
 //lsbp:hotpath
 func (e *Engine) rows(lo, hi int, scratch []float64) float64 {
-	if e.ci32 != nil {
-		// The compact kernels cover the unrolled shapes (the class
-		// counts and batch widths of the paper's workloads); generic
-		// shapes fall through to the wide blocked kernel, whose
-		// scratch-row inner loop gains nothing from the narrower index.
-		// The width-12 batch blocks additionally gate on graph size:
-		// their belief traffic already dominates the index stream, so
-		// the narrower index only pays once the working set leaves
-		// cache — below that the wide register blocks are faster.
-		if e.blocks == 1 {
-			switch e.k {
-			case 1:
-				return e.rows1Compact(lo, hi)
-			case 2:
-				return e.rows2Compact(lo, hi)
-			case 3:
-				return e.rows3Compact(lo, hi)
-			case 5:
-				return e.rows5Compact(lo, hi)
-			}
-		} else if e.n >= compactBatchMinNodes {
-			switch {
-			case e.k == 3 && e.blocks == 4:
-				return e.rows3x4Compact(lo, hi)
-			case e.k == 2 && e.blocks == 6:
-				return e.rows2x6Compact(lo, hi)
-			}
-		}
-	}
 	if e.blocks == 1 {
 		switch e.k {
 		case 1:
@@ -715,188 +625,6 @@ func (e *Engine) rows(lo, hi int, scratch []float64) float64 {
 	return e.rowsBlocked(lo, hi, scratch)
 }
 
-// rows3x4 fuses four k=3 solves (width 12): one CSR traversal per row
-// feeds twelve register accumulators, then the coupling and echo terms
-// are applied per block exactly as rows3 does.
-//
-//lsbp:hotpath
-func (e *Engine) rows3x4(lo, hi int) float64 {
-	cur, next := e.ws.cur, e.ws.next
-	h, g := e.h, e.h2
-	h00, h01, h02 := h[0], h[1], h[2]
-	h10, h11, h12 := h[3], h[4], h[5]
-	h20, h21, h22 := h[6], h[7], h[8]
-	g00, g01, g02 := g[0], g[1], g[2]
-	g10, g11, g12 := g[3], g[4], g[5]
-	g20, g21, g22 := g[6], g[7], g[8]
-	act := e.act
-	var delta float64
-	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
-		var a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 float64
-		for p, j := range cols {
-			if act != nil && act[j] == 0 {
-				continue // neighbor's belief row is exactly zero
-			}
-			v := vals[p]
-			x := cur[j*12 : j*12+12]
-			a0 += v * x[0]
-			a1 += v * x[1]
-			a2 += v * x[2]
-			a3 += v * x[3]
-			a4 += v * x[4]
-			a5 += v * x[5]
-			a6 += v * x[6]
-			a7 += v * x[7]
-			a8 += v * x[8]
-			a9 += v * x[9]
-			a10 += v * x[10]
-			a11 += v * x[11]
-		}
-		b := cur[i*12 : i*12+12]
-		nx := next[i*12 : i*12+12]
-		var e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 float64
-		if e.e != nil {
-			er := e.e[i*12 : i*12+12]
-			e0, e1, e2, e3, e4, e5 = er[0], er[1], er[2], er[3], er[4], er[5]
-			e6, e7, e8, e9, e10, e11 = er[6], er[7], er[8], er[9], er[10], er[11]
-		}
-		v0 := e0 + (a0*h00 + a1*h10 + a2*h20)
-		v1 := e1 + (a0*h01 + a1*h11 + a2*h21)
-		v2 := e2 + (a0*h02 + a1*h12 + a2*h22)
-		v3 := e3 + (a3*h00 + a4*h10 + a5*h20)
-		v4 := e4 + (a3*h01 + a4*h11 + a5*h21)
-		v5 := e5 + (a3*h02 + a4*h12 + a5*h22)
-		v6 := e6 + (a6*h00 + a7*h10 + a8*h20)
-		v7 := e7 + (a6*h01 + a7*h11 + a8*h21)
-		v8 := e8 + (a6*h02 + a7*h12 + a8*h22)
-		v9 := e9 + (a9*h00 + a10*h10 + a11*h20)
-		v10 := e10 + (a9*h01 + a10*h11 + a11*h21)
-		v11 := e11 + (a9*h02 + a10*h12 + a11*h22)
-		if e.echo {
-			di := e.d[i]
-			v0 -= di * (b[0]*g00 + b[1]*g10 + b[2]*g20)
-			v1 -= di * (b[0]*g01 + b[1]*g11 + b[2]*g21)
-			v2 -= di * (b[0]*g02 + b[1]*g12 + b[2]*g22)
-			v3 -= di * (b[3]*g00 + b[4]*g10 + b[5]*g20)
-			v4 -= di * (b[3]*g01 + b[4]*g11 + b[5]*g21)
-			v5 -= di * (b[3]*g02 + b[4]*g12 + b[5]*g22)
-			v6 -= di * (b[6]*g00 + b[7]*g10 + b[8]*g20)
-			v7 -= di * (b[6]*g01 + b[7]*g11 + b[8]*g21)
-			v8 -= di * (b[6]*g02 + b[7]*g12 + b[8]*g22)
-			v9 -= di * (b[9]*g00 + b[10]*g10 + b[11]*g20)
-			v10 -= di * (b[9]*g01 + b[10]*g11 + b[11]*g21)
-			v11 -= di * (b[9]*g02 + b[10]*g12 + b[11]*g22)
-		}
-		if e.track {
-			delta = delta1(delta, v0, b[0])
-			delta = delta1(delta, v1, b[1])
-			delta = delta1(delta, v2, b[2])
-			delta = delta1(delta, v3, b[3])
-			delta = delta1(delta, v4, b[4])
-			delta = delta1(delta, v5, b[5])
-			delta = delta1(delta, v6, b[6])
-			delta = delta1(delta, v7, b[7])
-			delta = delta1(delta, v8, b[8])
-			delta = delta1(delta, v9, b[9])
-			delta = delta1(delta, v10, b[10])
-			delta = delta1(delta, v11, b[11])
-		}
-		nx[0], nx[1], nx[2], nx[3], nx[4], nx[5] = v0, v1, v2, v3, v4, v5
-		nx[6], nx[7], nx[8], nx[9], nx[10], nx[11] = v6, v7, v8, v9, v10, v11
-	}
-	return delta
-}
-
-// rows2x6 fuses six k=2 solves (width 12), the k=2 analogue of rows3x4
-// with the summation order of rows2.
-//
-//lsbp:hotpath
-func (e *Engine) rows2x6(lo, hi int) float64 {
-	cur, next := e.ws.cur, e.ws.next
-	h00, h01, h10, h11 := e.h[0], e.h[1], e.h[2], e.h[3]
-	g00, g01, g10, g11 := e.h2[0], e.h2[1], e.h2[2], e.h2[3]
-	act := e.act
-	var delta float64
-	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
-		var a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 float64
-		for p, j := range cols {
-			if act != nil && act[j] == 0 {
-				continue // neighbor's belief row is exactly zero
-			}
-			v := vals[p]
-			x := cur[j*12 : j*12+12]
-			a0 += v * x[0]
-			a1 += v * x[1]
-			a2 += v * x[2]
-			a3 += v * x[3]
-			a4 += v * x[4]
-			a5 += v * x[5]
-			a6 += v * x[6]
-			a7 += v * x[7]
-			a8 += v * x[8]
-			a9 += v * x[9]
-			a10 += v * x[10]
-			a11 += v * x[11]
-		}
-		b := cur[i*12 : i*12+12]
-		nx := next[i*12 : i*12+12]
-		var e0, e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11 float64
-		if e.e != nil {
-			er := e.e[i*12 : i*12+12]
-			e0, e1, e2, e3, e4, e5 = er[0], er[1], er[2], er[3], er[4], er[5]
-			e6, e7, e8, e9, e10, e11 = er[6], er[7], er[8], er[9], er[10], er[11]
-		}
-		v0 := e0 + (a0*h00 + a1*h10)
-		v1 := e1 + (a0*h01 + a1*h11)
-		v2 := e2 + (a2*h00 + a3*h10)
-		v3 := e3 + (a2*h01 + a3*h11)
-		v4 := e4 + (a4*h00 + a5*h10)
-		v5 := e5 + (a4*h01 + a5*h11)
-		v6 := e6 + (a6*h00 + a7*h10)
-		v7 := e7 + (a6*h01 + a7*h11)
-		v8 := e8 + (a8*h00 + a9*h10)
-		v9 := e9 + (a8*h01 + a9*h11)
-		v10 := e10 + (a10*h00 + a11*h10)
-		v11 := e11 + (a10*h01 + a11*h11)
-		if e.echo {
-			di := e.d[i]
-			v0 -= di * (b[0]*g00 + b[1]*g10)
-			v1 -= di * (b[0]*g01 + b[1]*g11)
-			v2 -= di * (b[2]*g00 + b[3]*g10)
-			v3 -= di * (b[2]*g01 + b[3]*g11)
-			v4 -= di * (b[4]*g00 + b[5]*g10)
-			v5 -= di * (b[4]*g01 + b[5]*g11)
-			v6 -= di * (b[6]*g00 + b[7]*g10)
-			v7 -= di * (b[6]*g01 + b[7]*g11)
-			v8 -= di * (b[8]*g00 + b[9]*g10)
-			v9 -= di * (b[8]*g01 + b[9]*g11)
-			v10 -= di * (b[10]*g00 + b[11]*g10)
-			v11 -= di * (b[10]*g01 + b[11]*g11)
-		}
-		if e.track {
-			delta = delta1(delta, v0, b[0])
-			delta = delta1(delta, v1, b[1])
-			delta = delta1(delta, v2, b[2])
-			delta = delta1(delta, v3, b[3])
-			delta = delta1(delta, v4, b[4])
-			delta = delta1(delta, v5, b[5])
-			delta = delta1(delta, v6, b[6])
-			delta = delta1(delta, v7, b[7])
-			delta = delta1(delta, v8, b[8])
-			delta = delta1(delta, v9, b[9])
-			delta = delta1(delta, v10, b[10])
-			delta = delta1(delta, v11, b[11])
-		}
-		nx[0], nx[1], nx[2], nx[3], nx[4], nx[5] = v0, v1, v2, v3, v4, v5
-		nx[6], nx[7], nx[8], nx[9], nx[10], nx[11] = v6, v7, v8, v9, v10, v11
-	}
-	return delta
-}
-
 // delta1 folds one element change into the running max, mapping the NaN
 // of Inf−Inf (post-overflow divergence) to +Inf so divergence is
 // reported rather than masked.
@@ -909,173 +637,6 @@ func delta1(delta, v, b float64) float64 {
 	}
 	if ch > delta {
 		return ch
-	}
-	return delta
-}
-
-// rows1 is the k = 1 scalar collapse (FABP, Appendix E):
-// next = e + h·(A·b) − h₂·d∘b.
-//
-//lsbp:hotpath
-func (e *Engine) rows1(lo, hi int) float64 {
-	cur, next := e.ws.cur, e.ws.next
-	h, h2 := e.h[0], e.h2[0]
-	var delta float64
-	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
-		var ab float64
-		for p, j := range cols {
-			ab += vals[p] * cur[j]
-		}
-		var v float64
-		if e.e != nil {
-			v = e.e[i]
-		}
-		v += ab * h
-		if e.echo {
-			v -= e.d[i] * cur[i] * h2
-		}
-		if e.track {
-			delta = delta1(delta, v, cur[i])
-		}
-		next[i] = v
-	}
-	return delta
-}
-
-//lsbp:hotpath
-func (e *Engine) rows2(lo, hi int) float64 {
-	cur, next := e.ws.cur, e.ws.next
-	h00, h01, h10, h11 := e.h[0], e.h[1], e.h[2], e.h[3]
-	g00, g01, g10, g11 := e.h2[0], e.h2[1], e.h2[2], e.h2[3]
-	var delta float64
-	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
-		var ab0, ab1 float64
-		for p, j := range cols {
-			v := vals[p]
-			x := cur[j*2 : j*2+2]
-			ab0 += v * x[0]
-			ab1 += v * x[1]
-		}
-		var v0, v1 float64
-		if e.e != nil {
-			er := e.e[i*2 : i*2+2]
-			v0, v1 = er[0], er[1]
-		}
-		v0 += ab0*h00 + ab1*h10
-		v1 += ab0*h01 + ab1*h11
-		b := cur[i*2 : i*2+2]
-		if e.echo {
-			di := e.d[i]
-			v0 -= di * (b[0]*g00 + b[1]*g10)
-			v1 -= di * (b[0]*g01 + b[1]*g11)
-		}
-		if e.track {
-			delta = delta1(delta, v0, b[0])
-			delta = delta1(delta, v1, b[1])
-		}
-		nx := next[i*2 : i*2+2]
-		nx[0], nx[1] = v0, v1
-	}
-	return delta
-}
-
-//lsbp:hotpath
-func (e *Engine) rows3(lo, hi int) float64 {
-	cur, next := e.ws.cur, e.ws.next
-	h00, h01, h02 := e.h[0], e.h[1], e.h[2]
-	h10, h11, h12 := e.h[3], e.h[4], e.h[5]
-	h20, h21, h22 := e.h[6], e.h[7], e.h[8]
-	g00, g01, g02 := e.h2[0], e.h2[1], e.h2[2]
-	g10, g11, g12 := e.h2[3], e.h2[4], e.h2[5]
-	g20, g21, g22 := e.h2[6], e.h2[7], e.h2[8]
-	var delta float64
-	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
-		var ab0, ab1, ab2 float64
-		for p, j := range cols {
-			v := vals[p]
-			x := cur[j*3 : j*3+3]
-			ab0 += v * x[0]
-			ab1 += v * x[1]
-			ab2 += v * x[2]
-		}
-		var v0, v1, v2 float64
-		if e.e != nil {
-			er := e.e[i*3 : i*3+3]
-			v0, v1, v2 = er[0], er[1], er[2]
-		}
-		v0 += ab0*h00 + ab1*h10 + ab2*h20
-		v1 += ab0*h01 + ab1*h11 + ab2*h21
-		v2 += ab0*h02 + ab1*h12 + ab2*h22
-		b := cur[i*3 : i*3+3]
-		if e.echo {
-			di := e.d[i]
-			v0 -= di * (b[0]*g00 + b[1]*g10 + b[2]*g20)
-			v1 -= di * (b[0]*g01 + b[1]*g11 + b[2]*g21)
-			v2 -= di * (b[0]*g02 + b[1]*g12 + b[2]*g22)
-		}
-		if e.track {
-			delta = delta1(delta, v0, b[0])
-			delta = delta1(delta, v1, b[1])
-			delta = delta1(delta, v2, b[2])
-		}
-		nx := next[i*3 : i*3+3]
-		nx[0], nx[1], nx[2] = v0, v1, v2
-	}
-	return delta
-}
-
-//lsbp:hotpath
-func (e *Engine) rows5(lo, hi int) float64 {
-	cur, next := e.ws.cur, e.ws.next
-	h, g := e.h, e.h2
-	var delta float64
-	for i := lo; i < hi; i++ {
-		cols, vals := e.a.RowView(i)
-		vals = vals[:len(cols)]
-		var ab0, ab1, ab2, ab3, ab4 float64
-		for p, j := range cols {
-			v := vals[p]
-			x := cur[j*5 : j*5+5]
-			ab0 += v * x[0]
-			ab1 += v * x[1]
-			ab2 += v * x[2]
-			ab3 += v * x[3]
-			ab4 += v * x[4]
-		}
-		var v0, v1, v2, v3, v4 float64
-		if e.e != nil {
-			er := e.e[i*5 : i*5+5]
-			v0, v1, v2, v3, v4 = er[0], er[1], er[2], er[3], er[4]
-		}
-		v0 += ab0*h[0] + ab1*h[5] + ab2*h[10] + ab3*h[15] + ab4*h[20]
-		v1 += ab0*h[1] + ab1*h[6] + ab2*h[11] + ab3*h[16] + ab4*h[21]
-		v2 += ab0*h[2] + ab1*h[7] + ab2*h[12] + ab3*h[17] + ab4*h[22]
-		v3 += ab0*h[3] + ab1*h[8] + ab2*h[13] + ab3*h[18] + ab4*h[23]
-		v4 += ab0*h[4] + ab1*h[9] + ab2*h[14] + ab3*h[19] + ab4*h[24]
-		b := cur[i*5 : i*5+5]
-		if e.echo {
-			di := e.d[i]
-			v0 -= di * (b[0]*g[0] + b[1]*g[5] + b[2]*g[10] + b[3]*g[15] + b[4]*g[20])
-			v1 -= di * (b[0]*g[1] + b[1]*g[6] + b[2]*g[11] + b[3]*g[16] + b[4]*g[21])
-			v2 -= di * (b[0]*g[2] + b[1]*g[7] + b[2]*g[12] + b[3]*g[17] + b[4]*g[22])
-			v3 -= di * (b[0]*g[3] + b[1]*g[8] + b[2]*g[13] + b[3]*g[18] + b[4]*g[23])
-			v4 -= di * (b[0]*g[4] + b[1]*g[9] + b[2]*g[14] + b[3]*g[19] + b[4]*g[24])
-		}
-		if e.track {
-			delta = delta1(delta, v0, b[0])
-			delta = delta1(delta, v1, b[1])
-			delta = delta1(delta, v2, b[2])
-			delta = delta1(delta, v3, b[3])
-			delta = delta1(delta, v4, b[4])
-		}
-		nx := next[i*5 : i*5+5]
-		nx[0], nx[1], nx[2], nx[3], nx[4] = v0, v1, v2, v3, v4
 	}
 	return delta
 }
@@ -1101,7 +662,8 @@ func (e *Engine) rowsBlocked(lo, hi int, scratch []float64) float64 {
 		}
 		cols, vals := e.a.RowView(i)
 		vals = vals[:len(cols)]
-		for p, j := range cols {
+		for p, jj := range cols {
+			j := int(jj)
 			if act != nil && act[j] == 0 {
 				continue // neighbor's belief row is exactly zero
 			}
@@ -1147,35 +709,20 @@ func (e *Engine) rowsBlocked(lo, hi int, scratch []float64) float64 {
 // path builds) take the pull round instead.
 const maxSparseRoundWidth = 12
 
-// compactBatchMinNodes is the graph size above which the width-12
-// batch blocks switch to the compact index stream; see rows.
-const compactBatchMinNodes = 1 << 15
-
 // sparseRoundEligible reports whether this engine's round 2 may run as
-// the push-based sparse round: serial, compact layout, bitwise-
-// symmetric A, and a shape whose pull kernel the push epilogue mirrors
-// term for term — the unrolled single-problem class counts everywhere,
-// and the width-12 batch blocks above the size gate (below it the
-// epilogue costs more than the act-skip pull). Generic shapes keep the
-// pull round, whose blocked epilogue accumulates in a different order.
+// the push-based sparse round: serial, bitwise-symmetric A, and a shape
+// whose pull kernel the push epilogue mirrors term for term — the
+// unrolled single-problem class counts and the width-12 batch blocks.
+// Generic shapes keep the pull round, whose blocked epilogue
+// accumulates in a different order.
 //
 //lsbp:hotpath
 func (e *Engine) sparseRoundEligible() bool {
-	// The partitioned plane does not disqualify: the push round runs
-	// serially on the parent engine (Step takes it before dispatching
-	// to pass), reading the parent's full compact index and never
-	// involving the partition workers — so partitioned solves keep the
-	// cheap round 2 and stay bitwise identical to the serial plane.
-	// Workers only matters on the span plane; it is ignored (here as
-	// everywhere) while PartitionStarts is set.
-	if !e.symA || (e.workers > 1 && e.partStarts == nil) || e.ci32 == nil {
+	if !e.symA || e.workers > 1 {
 		return false
 	}
 	if e.blocks == 1 {
 		return e.k == 1 || e.k == 2 || e.k == 3 || e.k == 5
-	}
-	if e.n < compactBatchMinNodes {
-		return false
 	}
 	return (e.k == 3 && e.blocks == 4) || (e.k == 2 && e.blocks == 6)
 }

@@ -491,12 +491,15 @@ func TestRunContext(t *testing.T) {
 	}
 }
 
-// TestCompactLayoutBitwiseIdentical pins the compact-index (int32)
-// layout to the wide (int) layout: the index width changes only which
-// bytes the traversal loads, never the arithmetic, so every fast path
-// must produce bitwise-identical iterates — across class counts,
-// echo settings, batch blocks, and the sparse round-2 activity map.
-func TestCompactLayoutBitwiseIdentical(t *testing.T) {
+// TestKernelShapesMatchReference pins every row kernel shape to the
+// serial reference refStep: the unrolled class counts k ∈ {1, 2, 3, 5},
+// the generic blocked kernel, the register-blocked 3×4 and 2×6 batch
+// widths, generic batch widths, the act-skip pull of round 2 and the
+// push-based sparse round (SymmetricA), each serial and on the span
+// pool. Each block of a batched engine must follow its own
+// single-problem reference.
+func TestKernelShapesMatchReference(t *testing.T) {
+	const rounds = 5
 	for _, tc := range []struct {
 		k, blocks int
 		echo      bool
@@ -506,95 +509,75 @@ func TestCompactLayoutBitwiseIdentical(t *testing.T) {
 		{3, 1, false},              // no echo
 		{3, 4, true},               // rows3x4 batch fast path
 		{2, 6, true},               // rows2x6 batch fast path
+		{2, 6, false},              // batch fast path without echo
 		{3, 2, true}, {4, 3, true}, // generic batch widths
 	} {
-		a := randomCSR(300, 6, 11)
-		var d []float64
-		if tc.echo {
-			d = degrees(a)
-		}
-		h := randomCoupling(tc.k, 5)
-		wd := tc.blocks * tc.k
-		e := make([]float64, a.Rows()*wd)
-		for i := 0; i < len(e); i += 17 {
-			e[i] = 0.07
-		}
-
-		wide, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutWide}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compact, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutCompact}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if compact.ci32 == nil {
-			t.Fatal("compact engine did not adopt the int32 layout")
-		}
-		if wide.ci32 != nil {
-			t.Fatal("LayoutWide engine must stay on the wide layout")
-		}
-		wide.SetExplicit(e)
-		compact.SetExplicit(e)
-		for round := 0; round < 5; round++ {
-			dw := wide.Step()
-			dc := compact.Step()
-			if dw != dc {
-				t.Fatalf("k=%d blocks=%d echo=%v round %d: delta %g vs %g",
-					tc.k, tc.blocks, tc.echo, round, dw, dc)
-			}
-			bw, bc := wide.Beliefs(), compact.Beliefs()
-			for i := range bw {
-				if bw[i] != bc[i] {
-					t.Fatalf("k=%d blocks=%d echo=%v round %d: beliefs differ at %d: %g vs %g",
-						tc.k, tc.blocks, tc.echo, round, i, bw[i], bc[i])
+		for _, workers := range []int{1, 3} {
+			for _, symA := range []bool{false, true} {
+				a := randomCSR(300, 6, 11)
+				var d []float64
+				if tc.echo {
+					d = degrees(a)
 				}
-			}
-		}
-		wide.Close()
-		compact.Close()
-	}
-}
-
-// TestCompactLayoutParallel checks the worker-pool pass on the compact
-// layout against the serial wide reference.
-func TestCompactLayoutParallel(t *testing.T) {
-	a := randomCSR(500, 8, 13)
-	d := degrees(a)
-	h := randomCoupling(3, 9)
-	e := make([]float64, a.Rows()*3)
-	for i := 0; i < len(e); i += 7 {
-		e[i] = 0.04
-	}
-	serial, err := New(Config{A: a, D: d, H: h, Layout: LayoutWide}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := New(Config{A: a, D: d, H: h, Workers: 4, Layout: LayoutCompact}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer serial.Close()
-	defer par.Close()
-	serial.SetExplicit(e)
-	par.SetExplicit(e)
-	for round := 0; round < 6; round++ {
-		ds := serial.Step()
-		dp := par.Step()
-		if ds != dp {
-			t.Fatalf("round %d: delta %g vs %g", round, ds, dp)
-		}
-		bs, bp := serial.Beliefs(), par.Beliefs()
-		for i := range bs {
-			if bs[i] != bp[i] {
-				t.Fatalf("round %d: beliefs differ at %d", round, i)
+				h := randomCoupling(tc.k, 5)
+				h2 := h.Mul(h)
+				n, k, wd := a.Rows(), tc.k, tc.blocks*tc.k
+				// Sparse explicit rows, so round 2 runs the act-skip
+				// pull or the push-based sparse round.
+				e := make([]float64, n*wd)
+				for i := 0; i < len(e); i += 17 {
+					e[i] = 0.07
+				}
+				eng, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Workers: workers, SymmetricA: symA}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.SetExplicit(e)
+				// Per-block references over the de-interleaved beliefs.
+				refs := make([][]float64, tc.blocks)
+				refEs := make([][]float64, tc.blocks)
+				for b := range refs {
+					refs[b] = make([]float64, n*k)
+					refEs[b] = make([]float64, n*k)
+					for i := 0; i < n; i++ {
+						copy(refEs[b][i*k:i*k+k], e[i*wd+b*k:i*wd+b*k+k])
+					}
+				}
+				next := make([]float64, n*k)
+				for round := 0; round < rounds; round++ {
+					var want float64
+					for b := range refs {
+						if dl := refStep(next, refs[b], refEs[b], a, h, h2, d, n, k, tc.echo); dl > want {
+							want = dl
+						}
+						refs[b], next = next, refs[b]
+					}
+					got := eng.Step()
+					if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+						t.Fatalf("k=%d blocks=%d echo=%v workers=%d symA=%v round %d: delta %g, want %g",
+							tc.k, tc.blocks, tc.echo, workers, symA, round, got, want)
+					}
+					state := eng.Beliefs()
+					for b := range refs {
+						for i := 0; i < n; i++ {
+							for c := 0; c < k; c++ {
+								g, w := state[i*wd+b*k+c], refs[b][i*k+c]
+								if math.Abs(g-w) > 1e-12*(1+math.Abs(w)) {
+									t.Fatalf("k=%d blocks=%d echo=%v workers=%d symA=%v round %d: block %d node %d class %d = %g, want %g",
+										tc.k, tc.blocks, tc.echo, workers, symA, round, b, i, c, g, w)
+								}
+							}
+						}
+					}
+				}
+				eng.Close()
 			}
 		}
 	}
 }
 
 // TestSparseRoundBitwiseIdentical pins the push-based sparse round
-// (SymmetricA, serial, compact layout) against the plain pull round:
+// (SymmetricA, serial) against the plain pull round:
 // starting from sparse explicit beliefs, every iterate across several
 // rounds must be bitwise identical, for the k=3 fast epilogue, the k=1
 // scalar path, generic k, and a batched width.
@@ -617,11 +600,11 @@ func TestSparseRoundBitwiseIdentical(t *testing.T) {
 		for i := 0; i < len(e); i += 23 * wd { // sparse explicit rows
 			e[i] = 0.07
 		}
-		pull, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutCompact}, nil)
+		pull, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		push, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutCompact, SymmetricA: true}, nil)
+		push, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, SymmetricA: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -643,51 +626,6 @@ func TestSparseRoundBitwiseIdentical(t *testing.T) {
 		}
 		pull.Close()
 		push.Close()
-	}
-}
-
-// TestCompactBatchKernelsLargeGraph exercises the width-12 compact
-// batch blocks, which only dispatch above compactBatchMinNodes: results
-// must stay bitwise identical to the wide register blocks.
-func TestCompactBatchKernelsLargeGraph(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a graph above compactBatchMinNodes")
-	}
-	for _, tc := range []struct{ k, blocks int }{{3, 4}, {2, 6}} {
-		a := randomCSR(compactBatchMinNodes+10, 4, 31)
-		d := degrees(a)
-		h := randomCoupling(tc.k, 5)
-		wd := tc.k * tc.blocks
-		e := make([]float64, a.Rows()*wd)
-		for i := 0; i < len(e); i += 37 {
-			e[i] = 0.03
-		}
-		wide, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutWide}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// SymmetricA additionally exercises the batched push-based
-		// sparse round, which only dispatches above the size gate.
-		compact, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Layout: LayoutCompact, SymmetricA: true}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wide.SetExplicit(e)
-		compact.SetExplicit(e)
-		for round := 0; round < 3; round++ {
-			dw, dc := wide.Step(), compact.Step()
-			if dw != dc {
-				t.Fatalf("k=%d blocks=%d round %d: delta %g vs %g", tc.k, tc.blocks, round, dw, dc)
-			}
-			bw, bc := wide.Beliefs(), compact.Beliefs()
-			for i := range bw {
-				if bw[i] != bc[i] {
-					t.Fatalf("k=%d blocks=%d round %d: beliefs differ at %d", tc.k, tc.blocks, round, i)
-				}
-			}
-		}
-		wide.Close()
-		compact.Close()
 	}
 }
 

@@ -57,20 +57,18 @@ const residualCtxStride = 1024
 // fixed (A, D, H) configuration. Like Engine it is built once per
 // graph snapshot and reused across solves; unlike Engine it is
 // inherently sequential (the schedule is a priority order), so
-// Workers, Blocks, and PartitionStarts do not apply. A is required to
-// be symmetric (Config.SymmetricA) — the push step walks row i as
-// column i.
+// Workers and Blocks do not apply. A is required to be symmetric
+// (Config.SymmetricA) — the push step walks row i as column i.
 //
 // A ResidualEngine is not safe for concurrent use; run one per
 // goroutine or pool them as the prepared solvers do.
 type ResidualEngine struct {
-	a       *sparse.CSR
-	compact bool // compact int32 index available (see Layout)
-	d       []float64
-	h, h2   []float64 // flat k×k coupling and echo coupling
-	n, k    int
-	echo    bool
-	tol     float64
+	a     *sparse.CSR
+	d     []float64
+	h, h2 []float64 // flat k×k coupling and echo coupling
+	n, k  int
+	echo  bool
+	tol   float64
 
 	b    []float64 // accumulated beliefs, flat n×k
 	r    []float64 // residuals, flat n×k
@@ -103,9 +101,9 @@ type ResidualEngine struct {
 // NewResidual validates cfg and builds a residual-scheduled engine
 // with convergence tolerance tol (the queue admission threshold: rows
 // whose residual magnitude is at most tol are never scheduled).
-// cfg.Workers and cfg.PartitionStarts are ignored — the plane is
-// sequential; cfg.Blocks > 1 and non-symmetric adjacencies are
-// rejected. All state is allocated here; solves reuse it.
+// cfg.Workers is ignored — the plane is sequential; cfg.Blocks > 1
+// and non-symmetric adjacencies are rejected. All state is allocated
+// here; solves reuse it.
 func NewResidual(cfg Config, tol float64) (*ResidualEngine, error) {
 	if cfg.A == nil || cfg.H == nil {
 		return nil, fmt.Errorf("kernel: residual config needs A and H: %w", errs.ErrInvalidInput)
@@ -148,9 +146,6 @@ func NewResidual(cfg Config, tol float64) (*ResidualEngine, error) {
 		qnext: make([]int32, n),
 		qprev: make([]int32, n),
 		qbkt:  make([]int8, n),
-	}
-	if cfg.Layout != LayoutWide {
-		_, _, e.compact = cfg.A.CompactIndex()
 	}
 	for b := 0; b < residualBuckets; b++ {
 		e.bhi[b] = math.Ldexp(tol, b+1)
@@ -384,26 +379,10 @@ func (e *ResidualEngine) relax(i int32) {
 	}
 	// Neighbor push. A self-loop entry lands back on ri — additive, so
 	// it composes with the echo push above.
-	if e.compact {
-		cols, vals, _ := e.a.RowViewCompact(int(i))
-		for p, j := range cols {
-			w := vals[p]
-			rj := e.r[int(j)*k : int(j)*k+k]
-			var m float64
-			for c := 0; c < k; c++ {
-				rj[c] += w * ph[c]
-				if a := math.Abs(rj[c]); !(a <= m) {
-					m = a
-				}
-			}
-			e.touch(j, m)
-		}
-		return
-	}
 	cols, vals := e.a.RowView(int(i))
-	for p, jj := range cols {
+	for p, j := range cols {
 		w := vals[p]
-		rj := e.r[jj*k : jj*k+k]
+		rj := e.r[int(j)*k : int(j)*k+k]
 		var m float64
 		for c := 0; c < k; c++ {
 			rj[c] += w * ph[c]
@@ -411,7 +390,7 @@ func (e *ResidualEngine) relax(i int32) {
 				m = a
 			}
 		}
-		e.touch(int32(jj), m)
+		e.touch(j, m)
 	}
 }
 
@@ -497,23 +476,12 @@ func (e *ResidualEngine) seedRow(i int32, explicit []float64) {
 	for c := 0; c < k; c++ {
 		ph[c] = 0
 	}
-	if e.compact {
-		cols, vals, _ := e.a.RowViewCompact(int(i))
-		for p, j := range cols {
-			w := vals[p]
-			bj := e.b[int(j)*k : int(j)*k+k]
-			for c := 0; c < k; c++ {
-				ph[c] += w * bj[c]
-			}
-		}
-	} else {
-		cols, vals := e.a.RowView(int(i))
-		for p, jj := range cols {
-			w := vals[p]
-			bj := e.b[jj*k : jj*k+k]
-			for c := 0; c < k; c++ {
-				ph[c] += w * bj[c]
-			}
+	cols, vals := e.a.RowView(int(i))
+	for p, j := range cols {
+		w := vals[p]
+		bj := e.b[int(j)*k : int(j)*k+k]
+		for c := 0; c < k; c++ {
+			ph[c] += w * bj[c]
 		}
 	}
 	h := e.h

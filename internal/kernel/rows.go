@@ -1,28 +1,20 @@
 package kernel
 
-// The compact-layout row kernels. Each mirrors its wide counterpart in
-// kernel.go operation for operation — identical summation order, so the
-// two layouts are bitwise interchangeable — but reads the CSR through
-// the int32 index stream (half the index bytes per traversal), hoists
-// the Engine fields the loop touches into locals (stores through the
-// belief buffers keep the compiler from proving the struct unchanged,
-// so the method-style wide kernels reload them every row), and reads
-// the k×k coupling coefficients by constant index in the row epilogue
-// instead of holding k² locals across the loop — Go's register
-// allocator spills that many long-lived floats straight through the
-// sparse inner loop, which costs more than the per-row reloads.
+// The unrolled row kernels and the push-based sparse round. Each reads
+// the CSR through the hoisted int32 index arrays (see the package
+// comment for the hoisting rationale).
 
-// rows1Compact is the k = 1 scalar collapse (FABP, Appendix E). Unlike
-// the wide path, the compact fast paths honor the round-2 activity map
-// (act != nil only in the round after the Bˆ¹ = Eˆ shortcut): skipping
-// neighbors whose belief rows are exactly zero drops only v·0 terms, so
-// the result stays bitwise identical while the mostly-dead round-2
-// loads disappear. The act == nil branch keeps the dense rounds on the
-// unchecked loop.
+// rows1 is the k = 1 scalar collapse (FABP, Appendix E):
+// next = e + h·(A·b) − h₂·d∘b. Like every kernel it honors the round-2
+// activity map (act != nil only in the round after the Bˆ¹ = Eˆ
+// shortcut): skipping neighbors whose belief rows are exactly zero
+// drops only v·0 terms, so the result stays bitwise identical while the
+// mostly-dead round-2 loads disappear. The act == nil branch keeps the
+// dense rounds on the unchecked loop.
 //
 //lsbp:hotpath
-func (e *Engine) rows1Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows1(lo, hi int) float64 {
+	rowPtr, colIdx, avals := e.rowPtr, e.colIdx, e.vals
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
 	h, h2 := e.h[0], e.h2[0]
@@ -63,8 +55,8 @@ func (e *Engine) rows1Compact(lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows2Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows2(lo, hi int) float64 {
+	rowPtr, colIdx, avals := e.rowPtr, e.colIdx, e.vals
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
 	h, g := e.h[:4], e.h2[:4]
@@ -116,8 +108,8 @@ func (e *Engine) rows2Compact(lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows3Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows3(lo, hi int) float64 {
+	rowPtr, colIdx, avals := e.rowPtr, e.colIdx, e.vals
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
 	h, g := e.h[:9], e.h2[:9]
@@ -174,8 +166,8 @@ func (e *Engine) rows3Compact(lo, hi int) float64 {
 }
 
 //lsbp:hotpath
-func (e *Engine) rows5Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows5(lo, hi int) float64 {
+	rowPtr, colIdx, avals := e.rowPtr, e.colIdx, e.vals
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
 	h, g := e.h[:25], e.h2[:25]
@@ -243,12 +235,13 @@ func (e *Engine) rows5Compact(lo, hi int) float64 {
 	return delta
 }
 
-// rows3x4Compact fuses four k=3 solves (width 12) over the compact
-// index stream; see rows3x4 for the register-blocking rationale.
+// rows3x4 fuses four k=3 solves (width 12): one CSR traversal per row
+// feeds twelve register accumulators, then the coupling and echo terms
+// are applied per block exactly as rows3 does.
 //
 //lsbp:hotpath
-func (e *Engine) rows3x4Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows3x4(lo, hi int) float64 {
+	rowPtr, colIdx, avals := e.rowPtr, e.colIdx, e.vals
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
 	h, g := e.h[:9], e.h2[:9]
@@ -334,12 +327,12 @@ func (e *Engine) rows3x4Compact(lo, hi int) float64 {
 	return delta
 }
 
-// rows2x6Compact fuses six k=2 solves (width 12) over the compact index
-// stream, the k=2 analogue of rows3x4Compact.
+// rows2x6 fuses six k=2 solves (width 12), the k=2 analogue of rows3x4
+// with the summation order of rows2.
 //
 //lsbp:hotpath
-func (e *Engine) rows2x6Compact(lo, hi int) float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) rows2x6(lo, hi int) float64 {
+	rowPtr, colIdx, avals := e.rowPtr, e.colIdx, e.vals
 	cur, next := e.ws.cur, e.ws.next
 	eexp, dvec, echo, track, act := e.e, e.d, e.echo, e.track, e.act
 	h, g := e.h[:4], e.h2[:4]
@@ -425,7 +418,7 @@ func (e *Engine) rows2x6Compact(lo, hi int) float64 {
 	return delta
 }
 
-// sparseRoundCompact executes one full round from the Bˆ = Eˆ state
+// sparseRound executes one full round from the Bˆ = Eˆ state
 // (the round after the solve-from-scratch shortcut) in push form: Eˆ
 // has nonzero rows only at the explicitly labeled nodes, so instead of
 // pulling every stored entry the engine zeroes the output, pushes each
@@ -437,8 +430,8 @@ func (e *Engine) rows2x6Compact(lo, hi int) float64 {
 // kernels' summation order, so the iterate is bitwise identical.
 //
 //lsbp:hotpath
-func (e *Engine) sparseRoundCompact() float64 {
-	rowPtr, colIdx, avals := e.rp32, e.ci32, e.vals
+func (e *Engine) sparseRound() float64 {
+	rowPtr, colIdx, avals := e.rowPtr, e.colIdx, e.vals
 	n, k, wd := e.n, e.k, e.wd
 	cur, next := e.ws.cur[:n*wd], e.ws.next[:n*wd]
 	act, dirty := e.ws.act[:n], e.ws.dirty[:n]

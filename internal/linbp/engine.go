@@ -66,7 +66,7 @@ func NewEngineLayout(a *sparse.CSR, d []float64, h *dense.Matrix, perm []int, op
 		return nil, fmt.Errorf("linbp: permutation length %d does not match n=%d: %w", len(perm), n, errs.ErrDimensionMismatch)
 	}
 	ws := kernel.GetWorkspace()
-	eng, err := kernel.New(kernel.Config{A: a, D: d, H: h, Workers: opts.Workers, Layout: opts.Layout, SymmetricA: true, PartitionStarts: opts.PartitionStarts}, ws)
+	eng, err := kernel.New(kernel.Config{A: a, D: d, H: h, Workers: opts.Workers, SymmetricA: true}, ws)
 	if err != nil {
 		ws.Release()
 		return nil, fmt.Errorf("linbp: %w", err)

@@ -43,9 +43,9 @@ type ResidualEngine struct {
 // natural order). opts.Tol is the relaxation tolerance and must be
 // positive — the residual schedule has no fixed-round mode; opts
 // .MaxIter bounds the work at MaxIter·n row relaxations, the budget of
-// MaxIter full rounds. opts.Workers and opts.PartitionStarts are
-// ignored (the plane is sequential); opts.OnIteration is not invoked
-// (there are no rounds to observe).
+// MaxIter full rounds. opts.Workers is ignored (the plane is
+// sequential); opts.OnIteration is not invoked (there are no rounds to
+// observe).
 func NewResidualEngineLayout(a *sparse.CSR, d []float64, h *dense.Matrix, perm []int, opts Options) (*ResidualEngine, error) {
 	opts = opts.withDefaults()
 	if opts.Tol <= 0 {
@@ -58,7 +58,7 @@ func NewResidualEngineLayout(a *sparse.CSR, d []float64, h *dense.Matrix, perm [
 	if perm != nil && len(perm) != n {
 		return nil, fmt.Errorf("linbp: permutation length %d does not match n=%d: %w", len(perm), n, errs.ErrDimensionMismatch)
 	}
-	eng, err := kernel.NewResidual(kernel.Config{A: a, D: d, H: h, Layout: opts.Layout, SymmetricA: true}, opts.Tol)
+	eng, err := kernel.NewResidual(kernel.Config{A: a, D: d, H: h, SymmetricA: true}, opts.Tol)
 	if err != nil {
 		return nil, fmt.Errorf("linbp: %w", err)
 	}

@@ -224,7 +224,7 @@ func Bandwidth(a *sparse.CSR, p Permutation) int {
 	for i := 0; i < a.Rows(); i++ {
 		pi := pos(p, i)
 		for q := rowPtr[i]; q < rowPtr[i+1]; q++ {
-			d := pi - pos(p, colIdx[q])
+			d := pi - pos(p, int(colIdx[q]))
 			if d < 0 {
 				d = -d
 			}
@@ -247,7 +247,7 @@ func EdgeSpan(a *sparse.CSR, p Permutation) uint64 {
 	for i := 0; i < a.Rows(); i++ {
 		pi := pos(p, i)
 		for q := rowPtr[i]; q < rowPtr[i+1]; q++ {
-			d := pi - pos(p, colIdx[q])
+			d := pi - pos(p, int(colIdx[q]))
 			if d < 0 {
 				d = -d
 			}
@@ -268,7 +268,7 @@ func Profile(a *sparse.CSR, p Permutation) uint64 {
 		pi := pos(p, i)
 		min := pi
 		for q := rowPtr[i]; q < rowPtr[i+1]; q++ {
-			if pj := pos(p, colIdx[q]); pj < min {
+			if pj := pos(p, int(colIdx[q])); pj < min {
 				min = pj
 			}
 		}
@@ -424,19 +424,19 @@ func symmetrizedPattern(a *sparse.CSR) [][]int {
 			var j int
 			switch {
 			case p >= rowPtr[i+1]:
-				j = tColIdx[q]
+				j = int(tColIdx[q])
 				q++
 			case q >= tRowPtr[i+1]:
-				j = colIdx[p]
+				j = int(colIdx[p])
 				p++
 			case colIdx[p] < tColIdx[q]:
-				j = colIdx[p]
+				j = int(colIdx[p])
 				p++
 			case colIdx[p] > tColIdx[q]:
-				j = tColIdx[q]
+				j = int(tColIdx[q])
 				q++
 			default:
-				j = colIdx[p]
+				j = int(colIdx[p])
 				p++
 				q++
 			}

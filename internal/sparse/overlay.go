@@ -107,14 +107,18 @@ func (o *Overlay) Remove(i, j int) bool {
 // Untouched rows are bulk copies; touched rows are two-pointer merges
 // of the sorted base row with the sorted overlay cells. Cells whose
 // merged value is exactly zero are dropped, preserving the CSR
-// invariant that no explicit zeros are stored.
+// invariant that no explicit zeros are stored. It panics when the
+// merged matrix would store more than MaxIndex entries.
 func (o *Overlay) Merge() *CSR {
 	b := o.base
+	if len(b.val)+o.cells > MaxIndex {
+		panic(fmt.Sprintf("sparse: overlay merge exceeds %d stored entries", MaxIndex))
+	}
 	out := &CSR{
 		rows:   b.rows,
 		cols:   b.cols,
-		rowPtr: make([]int, b.rows+1),
-		colIdx: make([]int, 0, len(b.val)+o.cells),
+		rowPtr: make([]int32, b.rows+1),
+		colIdx: make([]int32, 0, len(b.val)+o.cells),
 		val:    make([]float64, 0, len(b.val)+o.cells),
 	}
 	var ocols []int // per-row sorted overlay columns, reused
@@ -124,7 +128,7 @@ func (o *Overlay) Merge() *CSR {
 		if len(orow) == 0 {
 			out.colIdx = append(out.colIdx, b.colIdx[lo:hi]...)
 			out.val = append(out.val, b.val[lo:hi]...)
-			out.rowPtr[i+1] = len(out.val)
+			out.rowPtr[i+1] = int32(len(out.val))
 			continue
 		}
 		ocols = ocols[:0]
@@ -135,14 +139,14 @@ func (o *Overlay) Merge() *CSR {
 		p, q := lo, 0
 		for p < hi || q < len(ocols) {
 			switch {
-			case q == len(ocols) || (p < hi && b.colIdx[p] < ocols[q]):
+			case q == len(ocols) || (p < hi && int(b.colIdx[p]) < ocols[q]):
 				out.colIdx = append(out.colIdx, b.colIdx[p])
 				out.val = append(out.val, b.val[p])
 				p++
-			case p == hi || ocols[q] < b.colIdx[p]:
+			case p == hi || ocols[q] < int(b.colIdx[p]):
 				c := orow[ocols[q]]
 				if v := c.add; v != 0 {
-					out.colIdx = append(out.colIdx, ocols[q])
+					out.colIdx = append(out.colIdx, int32(ocols[q]))
 					out.val = append(out.val, v)
 				}
 				q++
@@ -160,7 +164,7 @@ func (o *Overlay) Merge() *CSR {
 				q++
 			}
 		}
-		out.rowPtr[i+1] = len(out.val)
+		out.rowPtr[i+1] = int32(len(out.val))
 	}
 	return out
 }

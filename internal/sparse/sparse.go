@@ -12,22 +12,32 @@ package sparse
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
+
+// MaxIndex is the largest dimension and the largest stored-entry count
+// a CSR can hold: row pointers and column indices are int32, which
+// halves the index bytes every sparse traversal moves compared with
+// machine-word indices. Inputs beyond it are rejected at the boundary
+// (graph loading, Problem validation) before anything is allocated.
+const MaxIndex = math.MaxInt32
 
 // Builder accumulates (row, col, value) triplets for a rows×cols matrix
 // and produces an immutable CSR on ToCSR. The zero value is not usable;
 // call NewBuilder.
 type Builder struct {
 	rows, cols int
-	r, c       []int
+	r, c       []int32
 	v          []float64
 }
 
-// NewBuilder returns a builder for a rows×cols sparse matrix.
+// NewBuilder returns a builder for a rows×cols sparse matrix. Both
+// dimensions must lie in [0, MaxIndex].
 func NewBuilder(rows, cols int) *Builder {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("sparse: negative dimension %dx%d", rows, cols))
+	if rows < 0 || cols < 0 || rows > MaxIndex || cols > MaxIndex {
+		panic(fmt.Sprintf("sparse: dimension %dx%d outside [0, %d]", rows, cols, MaxIndex))
 	}
 	return &Builder{rows: rows, cols: cols}
 }
@@ -40,10 +50,10 @@ func (b *Builder) Reserve(nnz int) {
 	if nnz <= cap(b.v) {
 		return
 	}
-	r := make([]int, len(b.r), nnz)
+	r := make([]int32, len(b.r), nnz)
 	copy(r, b.r)
 	b.r = r
-	c := make([]int, len(b.c), nnz)
+	c := make([]int32, len(b.c), nnz)
 	copy(c, b.c)
 	b.c = c
 	v := make([]float64, len(b.v), nnz)
@@ -58,8 +68,8 @@ func (b *Builder) Add(i, j int, v float64) {
 	if i < 0 || i >= b.rows || j < 0 || j >= b.cols {
 		panic(fmt.Sprintf("sparse: triplet (%d,%d) out of range %dx%d", i, j, b.rows, b.cols))
 	}
-	b.r = append(b.r, i)
-	b.c = append(b.c, j)
+	b.r = append(b.r, int32(i))
+	b.c = append(b.c, int32(j))
 	b.v = append(b.v, v)
 }
 
@@ -78,6 +88,7 @@ func (b *Builder) NNZ() int { return len(b.v) }
 // ToCSR freezes the builder into a CSR matrix, summing duplicates and
 // dropping entries whose summed value is exactly zero. The builder remains
 // usable afterwards (more triplets may be added and ToCSR called again).
+// It panics when the merged matrix stores more than MaxIndex entries.
 func (b *Builder) ToCSR() *CSR {
 	// Count entries per row, then bucket-sort triplets by row.
 	rowCount := make([]int, b.rows+1)
@@ -94,8 +105,8 @@ func (b *Builder) ToCSR() *CSR {
 		next[i]++
 	}
 
-	csr := &CSR{rows: b.rows, cols: b.cols, rowPtr: make([]int, b.rows+1)}
-	colScratch := make([]int, 0, 64)
+	csr := &CSR{rows: b.rows, cols: b.cols, rowPtr: make([]int32, b.rows+1)}
+	colScratch := make([]int32, 0, 64)
 	valScratch := make([]float64, 0, 64)
 	for i := 0; i < b.rows; i++ {
 		lo, hi := rowCount[i], rowCount[i+1]
@@ -111,7 +122,7 @@ func (b *Builder) ToCSR() *CSR {
 			idx[t] = t
 		}
 		sort.Slice(idx, func(a, c int) bool { return colScratch[idx[a]] < colScratch[idx[c]] })
-		prevCol := -1
+		prevCol := int32(-1)
 		for _, t := range idx {
 			col, val := colScratch[t], valScratch[t]
 			if col == prevCol {
@@ -124,7 +135,7 @@ func (b *Builder) ToCSR() *CSR {
 		}
 		// Drop exact zeros produced by cancellation (walk backwards over
 		// the entries just appended for this row).
-		start := csr.rowPtr[i]
+		start := int(csr.rowPtr[i])
 		w := start
 		for r := start; r < len(csr.val); r++ {
 			if csr.val[r] != 0 {
@@ -135,22 +146,21 @@ func (b *Builder) ToCSR() *CSR {
 		}
 		csr.colIdx = csr.colIdx[:w]
 		csr.val = csr.val[:w]
-		csr.rowPtr[i+1] = len(csr.val)
+		if w > MaxIndex {
+			panic(fmt.Sprintf("sparse: more than %d stored entries", MaxIndex))
+		}
+		csr.rowPtr[i+1] = int32(w)
 	}
 	return csr
 }
 
-// CSR is an immutable sparse matrix in compressed sparse row format.
+// CSR is an immutable sparse matrix in compressed sparse row format
+// with int32 row pointers and column indices (see MaxIndex).
 type CSR struct {
 	rows, cols int
-	rowPtr     []int
-	colIdx     []int
+	rowPtr     []int32
+	colIdx     []int32
 	val        []float64
-
-	// Lazily built compact (int32) index form; see CompactIndex. The
-	// value array is shared — only the index metadata is duplicated.
-	rowPtr32 []int32
-	colIdx32 []int32
 }
 
 // NewCSRFromDense builds a CSR from a dense row-major value grid, keeping
@@ -192,9 +202,8 @@ func (m *CSR) At(i, j int) float64 {
 	}
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	cols := m.colIdx[lo:hi]
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
-		return m.val[lo+k]
+	if k, ok := slices.BinarySearch(cols, int32(j)); ok {
+		return m.val[int(lo)+k]
 	}
 	return 0
 }
@@ -203,12 +212,12 @@ func (m *CSR) At(i, j int) float64 {
 // column order.
 func (m *CSR) Row(i int, fn func(col int, val float64)) {
 	for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-		fn(m.colIdx[p], m.val[p])
+		fn(int(m.colIdx[p]), m.val[p])
 	}
 }
 
 // RowNNZ returns the number of stored entries in row i.
-func (m *CSR) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
+func (m *CSR) RowNNZ(i int) int { return int(m.rowPtr[i+1] - m.rowPtr[i]) }
 
 // RowView returns the stored column indices and values of row i as
 // slices aliasing the CSR storage. Callers must not modify them. Unlike
@@ -216,59 +225,16 @@ func (m *CSR) RowNNZ(i int) int { return m.rowPtr[i+1] - m.rowPtr[i] }
 // by the fused compute kernels.
 //
 //lsbp:hotpath
-func (m *CSR) RowView(i int) (cols []int, vals []float64) {
+func (m *CSR) RowView(i int) (cols []int32, vals []float64) {
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 	return m.colIdx[lo:hi], m.val[lo:hi]
-}
-
-// RowViewCompact is RowView over the compact int32 index: the stored
-// column indices (int32) and values of row i as slices aliasing the CSR
-// storage, for the residual push kernels that walk one out-neighbor
-// list at a time. ok is false until CompactIndex has been built (or
-// when the matrix does not fit it); callers then fall back to RowView.
-//
-//lsbp:hotpath
-func (m *CSR) RowViewCompact(i int) (cols []int32, vals []float64, ok bool) {
-	if m.colIdx32 == nil {
-		return nil, nil, false
-	}
-	lo, hi := m.rowPtr32[i], m.rowPtr32[i+1]
-	return m.colIdx32[lo:hi], m.val[lo:hi], true
 }
 
 // Index exposes the raw CSR arrays (row pointers, column indices,
 // values) for kernels that iterate the structure directly. The slices
 // alias the CSR storage and must not be modified.
-func (m *CSR) Index() (rowPtr, colIdx []int, vals []float64) {
+func (m *CSR) Index() (rowPtr, colIdx []int32, vals []float64) {
 	return m.rowPtr, m.colIdx, m.val
-}
-
-// CompactIndex returns the int32 form of the row pointers and column
-// indices, building and caching it on first use; values are shared with
-// the wide form. Halving the index width halves the index bytes the
-// memory system moves per SpMM traversal, which is what dominates the
-// solve cost on large graphs. ok is false when the dimensions or the
-// nonzero count do not fit in int32 (callers then stay on Index).
-//
-// The build is not synchronized: trigger it from a single goroutine
-// (the prepare path does) before any concurrent readers start.
-func (m *CSR) CompactIndex() (rowPtr, colIdx []int32, ok bool) {
-	const maxInt32 = 1<<31 - 1
-	if m.rows >= maxInt32 || m.cols >= maxInt32 || len(m.val) >= maxInt32 {
-		return nil, nil, false
-	}
-	if m.rowPtr32 == nil {
-		rp := make([]int32, len(m.rowPtr))
-		for i, p := range m.rowPtr {
-			rp[i] = int32(p)
-		}
-		ci := make([]int32, len(m.colIdx))
-		for i, j := range m.colIdx {
-			ci[i] = int32(j)
-		}
-		m.rowPtr32, m.colIdx32 = rp, ci
-	}
-	return m.rowPtr32, m.colIdx32, true
 }
 
 // Permute returns P·m·Pᵀ for the node relabeling perm, where
@@ -297,8 +263,8 @@ func (m *CSR) Permute(perm []int) *CSR {
 	out := &CSR{
 		rows:   n,
 		cols:   n,
-		rowPtr: make([]int, n+1),
-		colIdx: make([]int, len(m.colIdx)),
+		rowPtr: make([]int32, n+1),
+		colIdx: make([]int32, len(m.colIdx)),
 		val:    make([]float64, len(m.val)),
 	}
 	pos := 0
@@ -306,12 +272,12 @@ func (m *CSR) Permute(perm []int) *CSR {
 		cols, vals := m.RowView(inv[r])
 		start := pos
 		for p, j := range cols {
-			out.colIdx[pos] = perm[j]
+			out.colIdx[pos] = int32(perm[j])
 			out.val[pos] = vals[p]
 			pos++
 		}
 		sortRowByCol(out.colIdx[start:pos], out.val[start:pos])
-		out.rowPtr[r+1] = pos
+		out.rowPtr[r+1] = int32(pos)
 	}
 	return out
 }
@@ -319,7 +285,7 @@ func (m *CSR) Permute(perm []int) *CSR {
 // sortRowByCol sorts one row segment by column index, moving the values
 // along. Short rows use insertion sort; long rows fall back to
 // sort.Sort to avoid quadratic blowup on hub rows.
-func sortRowByCol(cols []int, vals []float64) {
+func sortRowByCol(cols []int32, vals []float64) {
 	if len(cols) <= 24 {
 		for i := 1; i < len(cols); i++ {
 			c, v := cols[i], vals[i]
@@ -336,7 +302,7 @@ func sortRowByCol(cols []int, vals []float64) {
 }
 
 type rowSorter struct {
-	cols []int
+	cols []int32
 	vals []float64
 }
 
@@ -366,7 +332,7 @@ func (m *CSR) MulVecInto(y, x []float64) {
 	for i := 0; i < m.rows; i++ {
 		var s float64
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			s += m.val[p] * x[m.colIdx[p]]
+			s += m.val[p] * x[int(m.colIdx[p])]
 		}
 		y[i] = s
 	}
@@ -387,7 +353,8 @@ func (m *CSR) MulDenseInto(y, x []float64, k int) {
 		}
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 			v := m.val[p]
-			xj := x[m.colIdx[p]*k : (m.colIdx[p]+1)*k]
+			j := int(m.colIdx[p])
+			xj := x[j*k : (j+1)*k]
 			for c, xv := range xj {
 				yi[c] += v * xv
 			}
@@ -410,7 +377,8 @@ func (m *CSR) MulDenseAddInto(y, x []float64, k int) {
 		yi := y[i*k : (i+1)*k]
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 			v := m.val[p]
-			xj := x[m.colIdx[p]*k : (m.colIdx[p]+1)*k]
+			j := int(m.colIdx[p])
+			xj := x[j*k : (j+1)*k]
 			for c, xv := range xj {
 				yi[c] += v * xv
 			}
@@ -440,10 +408,9 @@ func (m *CSR) TransposeInto(dst *CSR) {
 		panic("sparse: TransposeInto aliases its receiver")
 	}
 	dst.rows, dst.cols = m.cols, m.rows
-	dst.rowPtr = growInts(dst.rowPtr, m.cols+1)
-	dst.colIdx = growInts(dst.colIdx, len(m.colIdx))
+	dst.rowPtr = growInt32s(dst.rowPtr, m.cols+1)
+	dst.colIdx = growInt32s(dst.colIdx, len(m.colIdx))
 	dst.val = growFloats(dst.val, len(m.val))
-	dst.rowPtr32, dst.colIdx32 = nil, nil // stale for the new content
 	for i := range dst.rowPtr {
 		dst.rowPtr[i] = 0
 	}
@@ -460,7 +427,7 @@ func (m *CSR) TransposeInto(dst *CSR) {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
 			j := m.colIdx[p]
 			q := dst.rowPtr[j]
-			dst.colIdx[q] = i
+			dst.colIdx[q] = int32(i)
 			dst.val[q] = m.val[p]
 			dst.rowPtr[j] = q + 1
 		}
@@ -473,9 +440,9 @@ func (m *CSR) TransposeInto(dst *CSR) {
 	dst.rowPtr[0] = 0
 }
 
-func growInts(s []int, n int) []int {
+func growInt32s(s []int32, n int) []int32 {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]int32, n)
 	}
 	return s[:n]
 }
@@ -492,8 +459,8 @@ func (m *CSR) Scaled(s float64) *CSR {
 	out := &CSR{
 		rows:   m.rows,
 		cols:   m.cols,
-		rowPtr: append([]int(nil), m.rowPtr...),
-		colIdx: append([]int(nil), m.colIdx...),
+		rowPtr: append([]int32(nil), m.rowPtr...),
+		colIdx: append([]int32(nil), m.colIdx...),
 		val:    make([]float64, len(m.val)),
 	}
 	for i, v := range m.val {

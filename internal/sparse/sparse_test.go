@@ -461,7 +461,7 @@ func TestPermuteMatchesNaive(t *testing.T) {
 		t.Fatalf("Permute changed nnz: %d vs %d", p.NNZ(), m.NNZ())
 	}
 	for i := 0; i < n; i++ {
-		prev := -1
+		prev := int32(-1)
 		cols, vals := p.RowView(i)
 		for pi, j := range cols {
 			if j <= prev {
@@ -527,7 +527,7 @@ func TestPermuteHubRowSorted(t *testing.T) {
 	p := m.Permute(perm)
 	hub := perm[0]
 	cols, vals := p.RowView(hub)
-	prev := -1
+	prev := int32(-1)
 	for pi, j := range cols {
 		if j <= prev {
 			t.Fatalf("hub row columns not ascending: %v", cols)
@@ -589,59 +589,51 @@ func TestTransposeIntoSelfPanics(t *testing.T) {
 	m.TransposeInto(m)
 }
 
-func TestCompactIndex(t *testing.T) {
+func TestNewCSRFromRaw(t *testing.T) {
 	m := randomSquareCSR(50, 0.1, true, 11)
-	rp32, ci32, ok := m.CompactIndex()
-	if !ok {
-		t.Fatal("50×50 must fit int32")
-	}
 	rp, ci, vals := m.Index()
-	if len(rp32) != len(rp) || len(ci32) != len(ci) {
-		t.Fatal("compact index length mismatch")
+	a, err := NewCSRFromRaw(50, 50, rp, ci, vals)
+	if err != nil {
+		t.Fatalf("valid arrays rejected: %v", err)
 	}
-	for i, p := range rp {
-		if int(rp32[i]) != p {
-			t.Fatalf("rowPtr32[%d] = %d, want %d", i, rp32[i], p)
-		}
+	// Adoption aliases the arrays instead of copying them.
+	arp, aci, avals := a.Index()
+	if &arp[0] != &rp[0] || &aci[0] != &ci[0] || &avals[0] != &vals[0] {
+		t.Fatal("NewCSRFromRaw must adopt without copying")
 	}
-	for i, j := range ci {
-		if int(ci32[i]) != j {
-			t.Fatalf("colIdx32[%d] = %d, want %d", i, ci32[i], j)
-		}
-	}
-	if len(vals) != m.NNZ() {
-		t.Fatal("values accessor wrong length")
-	}
-	// Second call returns the cached arrays (no rebuild).
-	rp32b, ci32b, _ := m.CompactIndex()
-	if &rp32b[0] != &rp32[0] || &ci32b[0] != &ci32[0] {
-		t.Fatal("CompactIndex must cache")
-	}
-}
-
-func TestRowViewCompact(t *testing.T) {
-	m := randomSquareCSR(50, 0.1, true, 13)
-	// Before CompactIndex is built the compact view reports ok=false.
-	if _, _, ok := m.RowViewCompact(0); ok {
-		t.Fatal("RowViewCompact must report ok=false before CompactIndex")
-	}
-	if _, _, ok := m.CompactIndex(); !ok {
-		t.Fatal("50×50 must fit int32")
-	}
-	for i := 0; i < m.Rows(); i++ {
-		cols, vals := m.RowView(i)
-		cols32, vals32, ok := m.RowViewCompact(i)
-		if !ok {
-			t.Fatalf("row %d: compact view unavailable after CompactIndex", i)
-		}
-		if len(cols32) != len(cols) || len(vals32) != len(vals) {
-			t.Fatalf("row %d: compact view length mismatch", i)
-		}
-		for p := range cols {
-			if int(cols32[p]) != cols[p] || vals32[p] != vals[p] {
-				t.Fatalf("row %d entry %d: compact (%d,%g) wide (%d,%g)",
-					i, p, cols32[p], vals32[p], cols[p], vals[p])
+	for i := 0; i < 50; i++ {
+		for j := 0; j < 50; j++ {
+			if a.At(i, j) != m.At(i, j) {
+				t.Fatalf("adopted entry (%d,%d) = %v, want %v", i, j, a.At(i, j), m.At(i, j))
 			}
 		}
+	}
+	bad := func(name string, rows, cols int, rp, ci []int32, v []float64) {
+		t.Helper()
+		if _, err := NewCSRFromRaw(rows, cols, rp, ci, v); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	bad("short rowPtr", 2, 2, []int32{0, 1}, []int32{0}, []float64{1})
+	bad("rowPtr[0] != 0", 1, 2, []int32{1, 1}, []int32{0}, []float64{1})
+	bad("tail != nnz", 1, 2, []int32{0, 2}, []int32{0}, []float64{1})
+	bad("decreasing rowPtr", 2, 2, []int32{0, 2, 1}, []int32{0}, []float64{1})
+	bad("column out of range", 1, 2, []int32{0, 1}, []int32{2}, []float64{1})
+	bad("negative column", 1, 2, []int32{0, 1}, []int32{-1}, []float64{1})
+	bad("unsorted columns", 1, 3, []int32{0, 2}, []int32{2, 1}, []float64{1, 1})
+	bad("length mismatch", 1, 3, []int32{0, 1}, []int32{0}, []float64{1, 2})
+	bad("dimension beyond MaxIndex", MaxIndex+1, 1, nil, nil, nil)
+}
+
+func TestNewBuilderRejectsDimensionBeyondMaxIndex(t *testing.T) {
+	for _, dims := range [][2]int{{MaxIndex + 1, 1}, {1, MaxIndex + 1}, {-1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBuilder(%d, %d) must panic", dims[0], dims[1])
+				}
+			}()
+			NewBuilder(dims[0], dims[1])
+		}()
 	}
 }

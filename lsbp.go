@@ -54,7 +54,7 @@
 // write-ahead-logs every Update before it commits; Open(dir) recovers
 // by mapping and verifying the snapshot and replaying the log's
 // intact tail — a cold start without re-preparing (no reordering, no
-// partition replay, no εH search; ~79× faster on the 177k-node
+// εH search; ~79× faster on the 177k-node
 // benchmark graph). Corruption anywhere surfaces ErrCorruptState
 // rather than a wrong solver.
 //
@@ -231,7 +231,7 @@ func NewLinBPEngine(p *Problem, opts LinBPOptions) (*LinBPEngine, error) {
 // future-work direction of the paper's Section 8). It is a thin wrapper
 // over the epoch-versioned Solver.Update path, so incremental
 // maintenance runs through the same prepared kernel engines, layouts,
-// partitions, and concurrency machinery as every other solve — the
+// and concurrency machinery as every other solve — the
 // wrapped Solver (available via Solver()) can serve ad-hoc queries
 // concurrently while this state evolves it. Construct with
 // NewIncrementalLinBP; Close when done.
@@ -244,8 +244,8 @@ type IncrementalLinBP struct {
 // initial solve, and returns the maintained state together with the
 // initial Result (historically this result was computed and silently
 // discarded; callers needing the pre-update fixpoint had to re-solve).
-// Additional options (WithWorkers, WithPartitions, WithReordering,
-// WithUpdatePolicy, ...) pass through to Prepare.
+// Additional options (WithWorkers, WithReordering, WithUpdatePolicy,
+// ...) pass through to Prepare.
 func NewIncrementalLinBP(p *Problem, echo bool, maxIter int, opts ...Option) (*IncrementalLinBP, *Result, error) {
 	all := append([]Option{WithEchoCancellation(echo), WithMaxIter(maxIter)}, opts...)
 	s, err := Prepare(p, LinBP, all...)

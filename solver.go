@@ -17,13 +17,13 @@ import (
 // Deltas accumulate in a tombstoned overlay over the prepared CSR;
 // each committed topology update merges the overlay in one pass,
 // builds a fresh immutable snapshot reusing the prepare-time
-// reordering and partitions, and swaps it in RCU-style — in-flight
-// solves drain on the old snapshot, new solves land on the new one,
-// and the kernel-backed methods re-solve warm-started from the
-// previous fixpoint (fewer iterations after small deltas, same unique
-// answer). When the overlay outgrows WithUpdatePolicy's compaction
-// threshold the commit replays reordering and partitioning on the
-// merged graph. Stats reports Epoch/Updates/Rebuilds/OverlayNNZ.
+// reordering, and swaps it in RCU-style — in-flight solves drain on
+// the old snapshot, new solves land on the new one, and the
+// kernel-backed methods re-solve warm-started from the previous
+// fixpoint (fewer iterations after small deltas, same unique answer).
+// When the overlay outgrows WithUpdatePolicy's compaction threshold
+// the commit replays the reordering on the merged graph. Stats reports
+// Epoch/Updates/Rebuilds/OverlayNNZ.
 //
 // Solvers are safe for concurrent use: any number of goroutines may
 // share one Solver (updates serialize internally); per-solve
@@ -176,27 +176,6 @@ func ParseReordering(name string) (Reordering, error) { return core.ParseReorder
 // bandwidth before/after.
 func WithReordering(r Reordering) Option { return core.WithReordering(r) }
 
-// WithCompactIndices toggles the engines' compact (int32) CSR index
-// layout, on by default whenever the graph fits it; false restores the
-// wide index layout (for layout benchmarks and debugging).
-func WithCompactIndices(on bool) Option { return core.WithCompactIndices(on) }
-
-// PartitionsAuto asks WithPartitions to size the partition-parallel
-// plane from the graph and worker count (serving-scale graphs get one
-// partition per worker; small graphs keep the unpartitioned plane).
-const PartitionsAuto = core.PartitionsAuto
-
-// WithPartitions selects the kernel's partition-parallel data plane for
-// the kernel-backed methods (LinBP, LinBP*, FABP, and their batches):
-// the layout-ordered adjacency is split into n contiguous nnz-balanced
-// row blocks, and each prepared engine binds one persistent
-// OS-thread-locked worker per block with first-touched private block
-// state — one delta-merge/buffer-exchange step per round instead of
-// span stealing. 0 (the default) disables the plane; PartitionsAuto
-// sizes it automatically; BP and SBP ignore it. Stats() reports the
-// partition count, cut edges, and nnz imbalance.
-func WithPartitions(n int) Option { return core.WithPartitions(n) }
-
 // Schedule selects the execution schedule of the kernel-backed methods
 // (LinBP, LinBP*, FABP); see WithSchedule.
 type Schedule = core.Schedule
@@ -228,7 +207,7 @@ func WithSchedule(s Schedule) Option { return core.WithSchedule(s) }
 
 // WithUpdatePolicy sets the dynamic plane's policy for Solver.Update:
 // the overlay-growth ratio that triggers a compaction rebuild
-// (reordering + partitioning replayed on the merged graph) and whether
+// (reordering replayed on the merged graph) and whether
 // Update's re-solves warm-start from the previous fixpoint (the
 // default) or run cold. Solvers that never see an Update ignore it.
 func WithUpdatePolicy(p UpdatePolicy) Option { return core.WithUpdatePolicy(p) }
@@ -259,9 +238,9 @@ const (
 
 // WithDurability makes the prepared solver durable under dir: Prepare
 // publishes a checksummed snapshot of the prepared state (format
-// version, layout permutation, partition boundaries, compact-index
-// CSR — each section independently CRC-32C protected, written via
-// temp-file + atomic rename), and every Update is write-ahead-logged
+// version, layout permutation, CSR — each section independently
+// CRC-32C protected, written via temp-file + atomic rename), and
+// every Update is write-ahead-logged
 // under the given policy before it commits. Prepare starts dir fresh;
 // use Open to resume. Compaction rebuilds checkpoint the snapshot and
 // rotate the log.
