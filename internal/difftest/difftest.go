@@ -17,7 +17,9 @@
 // deletes, and relabels applied through Solver.Update — under every
 // ordering × workers × schedule variant and every compaction policy,
 // including forced rebuilds — must land within the same bound of a
-// fresh Prepare+Solve on the final graph. FuzzDynamicEquivalence is
+// fresh Prepare+Solve on the final graph, whether the updated snapshot
+// is then served by SolveInto or by a fused SolveBatch of what-if
+// requests (RunDynamicBatch). FuzzDynamicEquivalence is
 // the fuzzed entry point for byte-encoded update streams.
 package difftest
 
@@ -392,6 +394,29 @@ func DynamicPolicies() []struct {
 // ~tol_solve/(1−ρ) of the unique fixpoint, so their distance cannot
 // exceed the differential tolerance.
 func RunDynamic(t testing.TB, p *core.Problem, m core.Method, v Variant, policy core.UpdatePolicy, stream []DynamicBatch, tol float64) {
+	runDynamic(t, p, m, v, policy, stream, tol, 0)
+}
+
+// DynamicBatchRequests is the number of what-if requests RunDynamicBatch
+// serves per SolveBatch call: at k = 3 the LinBP solvers fuse them into
+// a 4-block chunk (the 3×4 kernel) and a 2-block chunk (the generic
+// blocked kernel).
+const DynamicBatchRequests = 6
+
+// RunDynamicBatch drives the stream like RunDynamic, but serves the
+// post-update check through SolveBatch: after every batch it answers
+// DynamicBatchRequests what-if explicit sets in one call — the
+// mirrored labels, and copies with one extra label each — and pins
+// every response to a fresh Prepare on the mirrored graph solving the
+// same explicit set. This puts the fused multi-block kernels on the
+// updated snapshots (overlay and compacted epochs alike).
+func RunDynamicBatch(t testing.TB, p *core.Problem, m core.Method, v Variant, policy core.UpdatePolicy, stream []DynamicBatch, tol float64) {
+	runDynamic(t, p, m, v, policy, stream, tol, DynamicBatchRequests)
+}
+
+// runDynamic is RunDynamic (batch = 0: one SolveInto per update) and
+// RunDynamicBatch (batch > 0: one SolveBatch of that many requests).
+func runDynamic(t testing.TB, p *core.Problem, m core.Method, v Variant, policy core.UpdatePolicy, stream []DynamicBatch, tol float64, batch int) {
 	if tol <= 0 {
 		tol = DefaultTol
 	}
@@ -419,6 +444,10 @@ func RunDynamic(t testing.TB, p *core.Problem, m core.Method, v Variant, policy 
 		if d := maxAbsDiff(res.Beliefs, fresh); d > tol {
 			t.Errorf("%v %s batch %d: Update result diverges from fresh Prepare by %g (tol %g)", m, v.Name, bi, d, tol)
 		}
+		if batch > 0 {
+			checkBatch(t, s, mirror, m, v, extra, batch, bi, tol)
+			continue
+		}
 		dst := beliefs.New(n, k)
 		if _, err := s.SolveInto(ctx, dst, mirror.Explicit); err != nil && !errors.Is(err, errs.ErrNotConverged) {
 			t.Fatalf("%v %s batch %d: SolveInto: %v", m, v.Name, bi, err)
@@ -429,9 +458,48 @@ func RunDynamic(t testing.TB, p *core.Problem, m core.Method, v Variant, policy 
 	}
 }
 
+// checkBatch serves count what-if requests against the mirrored
+// problem through one SolveBatch on s and compares each response with
+// a fresh Prepare of the mirror solving the same explicit beliefs.
+// Request 0 is the mirror's own explicit set; request r > 0 adds a
+// label on node (7r+3) mod n.
+func checkBatch(t testing.TB, s core.Solver, mirror *core.Problem, m core.Method, v Variant, extra []core.Option, count, bi int, tol float64) {
+	ctx := context.Background()
+	n, k := mirror.Graph.N(), mirror.K()
+	reqs := make([]core.Request, count)
+	for r := range reqs {
+		e := mirror.Explicit.Clone()
+		if r > 0 {
+			e.Set((7*r+3)%n, beliefs.LabelResidual(k, r%k, 0.1))
+		}
+		reqs[r] = core.Request{E: e}
+	}
+	resps := s.SolveBatch(ctx, reqs)
+	fs, err := core.Prepare(mirror, m, append(append([]core.Option{}, v.Opts...), extra...)...)
+	if err != nil {
+		t.Fatalf("%v %s batch %d: fresh Prepare: %v", m, v.Name, bi, err)
+	}
+	defer fs.Close()
+	want := beliefs.New(n, k)
+	for r, resp := range resps {
+		if resp.Err != nil && !errors.Is(resp.Err, errs.ErrNotConverged) {
+			t.Fatalf("%v %s batch %d: SolveBatch request %d: %v", m, v.Name, bi, r, resp.Err)
+		}
+		if _, err := fs.SolveInto(ctx, want, reqs[r].E); err != nil && !errors.Is(err, errs.ErrNotConverged) {
+			t.Fatalf("%v %s batch %d: fresh SolveInto request %d: %v", m, v.Name, bi, r, err)
+		}
+		if d := maxAbsDiff(resp.Beliefs, want); d > tol {
+			t.Errorf("%v %s batch %d: SolveBatch request %d diverges from fresh Prepare by %g (tol %g)", m, v.Name, bi, r, d, tol)
+		}
+	}
+}
+
 // RunDynamicMatrix is the canonical dynamic differential suite: for
 // every method it crosses the serving variants with the update
-// policies on a deterministic stream. BP runs at a slightly looser
+// policies on a deterministic stream, and serves each cell's
+// post-update check twice — as one SolveInto (RunDynamic) and as a
+// fused SolveBatch of what-if requests (RunDynamicBatch, the
+// "/batch" cells). BP runs at a slightly looser
 // bound (its message iteration stops on the message delta, not the
 // belief delta, so the stale-layout epochs differ from the fresh
 // prepare by more summation noise than the kernel methods).
@@ -452,8 +520,12 @@ func RunDynamicMatrix(t *testing.T, n, edges, batches int, seed uint64) {
 		}
 		for _, v := range DynamicVariants(m) {
 			for _, pol := range DynamicPolicies() {
-				t.Run(fmt.Sprintf("%v/%s/policy=%s", m, v.Name, pol.Name), func(t *testing.T) {
+				name := fmt.Sprintf("%v/%s/policy=%s", m, v.Name, pol.Name)
+				t.Run(name, func(t *testing.T) {
 					RunDynamic(t, p, m, v, pol.Policy, stream, tol)
+				})
+				t.Run(name+"/batch", func(t *testing.T) {
+					RunDynamicBatch(t, p, m, v, pol.Policy, stream, tol)
 				})
 			}
 		}

@@ -3,6 +3,7 @@ package kernel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -514,63 +515,65 @@ func TestKernelShapesMatchReference(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 3} {
 			for _, symA := range []bool{false, true} {
-				a := randomCSR(300, 6, 11)
-				var d []float64
-				if tc.echo {
-					d = degrees(a)
-				}
-				h := randomCoupling(tc.k, 5)
-				h2 := h.Mul(h)
-				n, k, wd := a.Rows(), tc.k, tc.blocks*tc.k
-				// Sparse explicit rows, so round 2 runs the act-skip
-				// pull or the push-based sparse round.
-				e := make([]float64, n*wd)
-				for i := 0; i < len(e); i += 17 {
-					e[i] = 0.07
-				}
-				eng, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Workers: workers, SymmetricA: symA}, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.SetExplicit(e)
-				// Per-block references over the de-interleaved beliefs.
-				refs := make([][]float64, tc.blocks)
-				refEs := make([][]float64, tc.blocks)
-				for b := range refs {
-					refs[b] = make([]float64, n*k)
-					refEs[b] = make([]float64, n*k)
-					for i := 0; i < n; i++ {
-						copy(refEs[b][i*k:i*k+k], e[i*wd+b*k:i*wd+b*k+k])
+				name := fmt.Sprintf("k=%d/blocks=%d/echo=%v/workers=%d/symA=%v", tc.k, tc.blocks, tc.echo, workers, symA)
+				t.Run(name, func(t *testing.T) {
+					a := randomCSR(300, 6, 11)
+					var d []float64
+					if tc.echo {
+						d = degrees(a)
 					}
-				}
-				next := make([]float64, n*k)
-				for round := 0; round < rounds; round++ {
-					var want float64
+					h := randomCoupling(tc.k, 5)
+					h2 := h.Mul(h)
+					n, k, wd := a.Rows(), tc.k, tc.blocks*tc.k
+					// Sparse explicit rows, so round 2 runs the act-skip
+					// pull or the push-based sparse round.
+					e := make([]float64, n*wd)
+					for i := 0; i < len(e); i += 17 {
+						e[i] = 0.07
+					}
+					eng, err := New(Config{A: a, D: d, H: h, Blocks: tc.blocks, Workers: workers, SymmetricA: symA}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer eng.Close()
+					eng.SetExplicit(e)
+					// Per-block references over the de-interleaved beliefs.
+					refs := make([][]float64, tc.blocks)
+					refEs := make([][]float64, tc.blocks)
 					for b := range refs {
-						if dl := refStep(next, refs[b], refEs[b], a, h, h2, d, n, k, tc.echo); dl > want {
-							want = dl
-						}
-						refs[b], next = next, refs[b]
-					}
-					got := eng.Step()
-					if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-						t.Fatalf("k=%d blocks=%d echo=%v workers=%d symA=%v round %d: delta %g, want %g",
-							tc.k, tc.blocks, tc.echo, workers, symA, round, got, want)
-					}
-					state := eng.Beliefs()
-					for b := range refs {
+						refs[b] = make([]float64, n*k)
+						refEs[b] = make([]float64, n*k)
 						for i := 0; i < n; i++ {
-							for c := 0; c < k; c++ {
-								g, w := state[i*wd+b*k+c], refs[b][i*k+c]
-								if math.Abs(g-w) > 1e-12*(1+math.Abs(w)) {
-									t.Fatalf("k=%d blocks=%d echo=%v workers=%d symA=%v round %d: block %d node %d class %d = %g, want %g",
-										tc.k, tc.blocks, tc.echo, workers, symA, round, b, i, c, g, w)
+							copy(refEs[b][i*k:i*k+k], e[i*wd+b*k:i*wd+b*k+k])
+						}
+					}
+					next := make([]float64, n*k)
+					for round := 0; round < rounds; round++ {
+						var want float64
+						for b := range refs {
+							if dl := refStep(next, refs[b], refEs[b], a, h, h2, d, n, k, tc.echo); dl > want {
+								want = dl
+							}
+							refs[b], next = next, refs[b]
+						}
+						got := eng.Step()
+						if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
+							t.Fatalf("round %d: delta %g, want %g", round, got, want)
+						}
+						state := eng.Beliefs()
+						for b := range refs {
+							for i := 0; i < n; i++ {
+								for c := 0; c < k; c++ {
+									g, w := state[i*wd+b*k+c], refs[b][i*k+c]
+									if math.Abs(g-w) > 1e-12*(1+math.Abs(w)) {
+										t.Fatalf("round %d: block %d node %d class %d = %g, want %g",
+											round, b, i, c, g, w)
+									}
 								}
 							}
 						}
 					}
-				}
-				eng.Close()
+				})
 			}
 		}
 	}
