@@ -131,7 +131,7 @@ func TestSolverPoolShrinksAfterBurst(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got, cap := snap.states.idle(), snap.states.maxFree; got > cap {
+	if got, cap := snap.batch[0].idle(), snap.batch[0].maxFree; got > cap {
 		t.Errorf("idle engines after burst = %d, want <= high-water cap %d", got, cap)
 	}
 }

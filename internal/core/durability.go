@@ -26,7 +26,6 @@ import (
 	"os"
 
 	"repro/internal/beliefs"
-	"repro/internal/coupling"
 	"repro/internal/dense"
 	"repro/internal/durable"
 	"repro/internal/errs"
@@ -408,16 +407,15 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 		if snap.GraphOrder {
 			return nil, fmt.Errorf("core: open: kernel method with graph-order matrix: %w", errs.ErrCorruptState)
 		}
-		lay := kernelLayout{a: a, perm: perm}
-		if m == MethodFABP {
-			lay.d = a.RowSumsSquared()
-			inner, err = newFABPSolverOn(snap.EpsH*ho.At(0, 0), info, cfg, lay)
-		} else {
-			if m == MethodLinBP {
-				lay.d = a.RowSumsSquared()
-			}
-			inner, err = newLinBPSolverOn(coupling.Scale(ho, snap.EpsH), info, cfg, lay)
+		kc, kerr := newKernelCoupling(m, ho, snap.EpsH)
+		if kerr != nil {
+			return nil, kerr
 		}
+		lay := kernelLayout{a: a, perm: perm}
+		if kc.degrees {
+			lay.d = a.RowSumsSquared()
+		}
+		inner, err = newLinBPSolverOn(kc, info, cfg, lay)
 	case MethodBP:
 		inner, err = newBPSolverOn(g.Clone(), ho, info, cfg, perm)
 	default: // MethodSBP

@@ -47,7 +47,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/beliefs"
-	"repro/internal/coupling"
 	"repro/internal/dense"
 	"repro/internal/durable"
 	"repro/internal/errs"
@@ -191,8 +190,6 @@ func newDynSolver(p *Problem, m Method, cfg config, inner snapshot) *dynSolver {
 	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcGraph: p.Graph, srcExp: p.Explicit}
 	switch s := inner.(type) {
 	case *linbpSolver:
-		d.info, d.perm, d.layoutA = s.solverInfo, s.perm, s.a
-	case *fabpSolver:
 		d.info, d.perm, d.layoutA = s.solverInfo, s.perm, s.a
 	case *bpSolver:
 		d.info, d.perm = s.solverInfo, s.perm
@@ -561,7 +558,7 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 			// stream recovers the spectral safety margin instead of
 			// serving the stale prepare-time scale. The new epoch's εH
 			// is what Stats().EpsilonH reports from here on.
-			eps, eerr := autoEpsilon(d.g, d.ho, d.method == MethodLinBP || d.method == MethodBP || d.method == MethodFABP)
+			eps, eerr := autoEpsilon(d.g, d.ho, d.method != MethodLinBPStar)
 			if eerr != nil {
 				return fmt.Errorf("core: compaction auto-εH re-derivation: %w", eerr)
 			}
@@ -643,19 +640,19 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 }
 
 // buildKernelSnapshot prepares a kernel-backed snapshot over the given
-// layout-ordered adjacency, reusing the current permutation. Degrees are re-derived from the matrix itself
-// (one O(nnz) pass), so LinBP's echo term always matches the merged
-// weights.
+// layout-ordered adjacency, reusing the current permutation. Degrees
+// are re-derived from the matrix itself (one O(nnz) pass), so the echo
+// term always matches the merged weights.
 func (d *dynSolver) buildKernelSnapshot(a *sparse.CSR, info solverInfo) (snapshot, error) {
+	kc, err := newKernelCoupling(d.method, d.ho, d.eps)
+	if err != nil {
+		return nil, err
+	}
 	lay := kernelLayout{a: a, perm: d.perm}
-	switch d.method {
-	case MethodFABP:
-		lay.d = a.RowSumsSquared()
-		return newFABPSolverOn(d.eps*d.ho.At(0, 0), info, d.cfg, lay)
-	case MethodLinBP:
+	if kc.degrees {
 		lay.d = a.RowSumsSquared()
 	}
-	return newLinBPSolverOn(coupling.Scale(d.ho, d.eps), info, d.cfg, lay)
+	return newLinBPSolverOn(kc, info, d.cfg, lay)
 }
 
 // buildGraphSnapshot prepares a message-passing snapshot (BP, SBP) on a
@@ -683,36 +680,28 @@ func (d *dynSolver) resolveLocked(ctx context.Context, seedable bool, touched []
 	if !d.cfg.policy.DisableWarmStart {
 		start = d.last
 	}
-	if ss, ok := ep.snap.(seededSolver); ok && d.cfg.schedule != ScheduleRounds {
-		if !seedable || start == nil {
-			touched = nil
-		}
-		if touched != nil || d.cfg.schedule == ScheduleResidual {
-			dst := beliefs.New(d.n, d.k)
-			info, err := ss.SolveSeeded(ctx, dst, d.exp, start, touched)
-			if err != nil && !isNotConverged(err) {
-				return nil, err
-			}
-			res := &Result{
-				Method: d.method, Beliefs: dst,
-				Iterations: info.Iterations, Converged: info.Converged, Delta: info.Delta,
-			}
-			res.Top = dst.TopAssignment()
-			return res, err
-		}
+	ls, ok := ep.snap.(*linbpSolver)
+	if !ok {
+		return ep.snap.Solve(ctx, d.exp)
 	}
-	if ws, ok := ep.snap.(warmStarter); ok {
-		dst := beliefs.New(d.n, d.k)
-		info, err := ws.SolveFrom(ctx, dst, d.exp, start)
-		if err != nil && !isNotConverged(err) {
-			return nil, err
-		}
-		res := &Result{
-			Method: d.method, Beliefs: dst,
-			Iterations: info.Iterations, Converged: info.Converged, Delta: info.Delta,
-		}
-		res.Top = dst.TopAssignment()
-		return res, err
+	dst := beliefs.New(d.n, d.k)
+	var info SolveInfo
+	var err error
+	if d.cfg.schedule == ScheduleRounds || !seedable || start == nil {
+		touched = nil
 	}
-	return ep.snap.Solve(ctx, d.exp)
+	if d.cfg.schedule == ScheduleResidual || touched != nil {
+		info, err = ls.SolveSeeded(ctx, dst, d.exp, start, touched)
+	} else {
+		info, err = ls.SolveFrom(ctx, dst, d.exp, start)
+	}
+	if err != nil && !isNotConverged(err) {
+		return nil, err
+	}
+	res := &Result{
+		Method: d.method, Beliefs: dst,
+		Iterations: info.Iterations, Converged: info.Converged, Delta: info.Delta,
+	}
+	res.Top = dst.TopAssignment()
+	return res, err
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -196,39 +197,49 @@ func TestDynamicUpdateBPAndSBP(t *testing.T) {
 // a small delta, the warm-started re-solve takes fewer rounds than a
 // cold solve of the same problem.
 func TestDynamicWarmStartSavesIterations(t *testing.T) {
-	p := randomProblem(t, 400, 900, 3, 0.03, 23)
-	opts := []Option{WithMaxIter(300), WithTol(1e-10)}
-	warm, err := Prepare(p, MethodLinBP, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	cold, err := Prepare(p, MethodLinBP, append([]Option{WithUpdatePolicy(UpdatePolicy{DisableWarmStart: true})}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Close()
-	ctx := context.Background()
-	if _, err := warm.Update(ctx, Update{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.Update(ctx, Update{}); err != nil {
-		t.Fatal(err)
-	}
-	delta := Update{AddEdges: []graph.Edge{{S: 3, T: 200, W: 1}, {S: 9, T: 120, W: 1}}}
-	wres, err := warm.Update(ctx, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := cold.Update(ctx, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wres.Iterations >= cres.Iterations {
-		t.Errorf("warm start took %d iterations, cold %d — no savings", wres.Iterations, cres.Iterations)
-	}
-	if d := maxAbsDiff(wres.Beliefs, cres.Beliefs); d > 1e-9 {
-		t.Errorf("warm and cold fixpoints diverge by %g", d)
+	for _, m := range []Method{MethodLinBP, MethodFABP} {
+		k := 3
+		if m == MethodFABP {
+			k = 2
+		}
+		p := randomProblem(t, 400, 900, k, 0.03, 23)
+		for _, r := range []Reordering{ReorderNone, ReorderRCM} {
+			t.Run(fmt.Sprintf("%v/%v", m, r), func(t *testing.T) {
+				opts := []Option{WithMaxIter(300), WithTol(1e-10), WithReordering(r)}
+				warm, err := Prepare(p, m, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer warm.Close()
+				cold, err := Prepare(p, m, append([]Option{WithUpdatePolicy(UpdatePolicy{DisableWarmStart: true})}, opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cold.Close()
+				ctx := context.Background()
+				if _, err := warm.Update(ctx, Update{}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := cold.Update(ctx, Update{}); err != nil {
+					t.Fatal(err)
+				}
+				delta := Update{AddEdges: []graph.Edge{{S: 3, T: 200, W: 1}, {S: 9, T: 120, W: 1}}}
+				wres, err := warm.Update(ctx, delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cres, err := cold.Update(ctx, delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if wres.Iterations >= cres.Iterations {
+					t.Errorf("warm start took %d iterations, cold %d — no savings", wres.Iterations, cres.Iterations)
+				}
+				if d := maxAbsDiff(wres.Beliefs, cres.Beliefs); d > 1e-9 {
+					t.Errorf("warm and cold fixpoints diverge by %g", d)
+				}
+			})
+		}
 	}
 }
 

@@ -377,28 +377,6 @@ type snapshot interface {
 	Close() error
 }
 
-// warmStarter is implemented by the kernel-backed snapshots (LinBP,
-// LinBP*, FABP): SolveFrom is SolveInto warm-started from a previous
-// fixpoint, the cheap re-solve of the dynamic plane. A nil start is a
-// cold solve.
-type warmStarter interface {
-	SolveFrom(ctx context.Context, dst, e, start *beliefs.Residual) (SolveInfo, error)
-}
-
-// seededSolver is implemented by the kernel-backed snapshots when a
-// residual schedule is available: SolveSeeded is SolveFrom served by
-// the residual plane, with touched (caller node ids, deduplicated)
-// restricting the warm seed to the rows a delta perturbed — the
-// dynamic plane's localized re-solve. A nil touched recomputes every
-// row's residual (valid from any start); a non-nil empty touched is
-// the no-change fast path. Snapshots prepared without a usable
-// residual plane (fixed-round tolerance under ScheduleAuto) fall back
-// to warm rounds internally.
-type seededSolver interface {
-	warmStarter
-	SolveSeeded(ctx context.Context, dst, e, start *beliefs.Residual, touched []int) (SolveInfo, error)
-}
-
 // Prepare validates the problem once and builds a prepared Solver for
 // the method. The problem's Graph, Ho, and EpsilonH are fixed at
 // preparation time; Explicit only participates in shape validation and
@@ -426,19 +404,18 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 	if cfg.schedule == ScheduleResidual && cfg.tol < 0 {
 		return nil, fmt.Errorf("core: the residual schedule needs a convergence tolerance (a negative WithTol forces fixed rounds): %w", errs.ErrInvalidInput)
 	}
-	echo := m != MethodLinBPStar // LinBP and the FABP collapse cancel echo
 	if cfg.echoSet && (m == MethodLinBP || m == MethodLinBPStar) {
-		echo = cfg.echo
-		if echo {
+		m = MethodLinBPStar
+		if cfg.echo {
 			m = MethodLinBP
-		} else {
-			m = MethodLinBPStar
 		}
 	}
 	eps := p.EpsilonH
 	if cfg.autoEps && m != MethodSBP {
 		var err error
-		eps, err = autoEpsilon(p.Graph, p.Ho, m == MethodLinBP || m == MethodBP || m == MethodFABP)
+		// Only LinBP* drops the echo term; BP and FABP borrow LinBP's
+		// criterion.
+		eps, err = autoEpsilon(p.Graph, p.Ho, m != MethodLinBPStar)
 		if err != nil {
 			return nil, err
 		}
@@ -469,12 +446,10 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 	switch m {
 	case MethodBP:
 		inner, err = newBPSolver(p, base, cfg, perm)
-	case MethodLinBP, MethodLinBPStar:
-		inner, err = newLinBPSolver(p, base, cfg, perm)
 	case MethodSBP:
 		inner, err = newSBPSolver(p, base, perm)
 	default:
-		inner, err = newFABPSolver(p, base, cfg, perm)
+		inner, err = newLinBPSolver(p, base, cfg, perm)
 	}
 	if err != nil {
 		return nil, err
@@ -869,7 +844,7 @@ func (b *solverBase) sequentialBatch(ctx context.Context, reqs []Request,
 }
 
 // ---------------------------------------------------------------------------
-// LinBP / LinBP*
+// LinBP / LinBP* / FABP
 
 // batchWidth caps the flat row width (blocks·k) of a fused batch
 // chunk. Width 12 keeps every chunk on the kernel's register-blocked
@@ -877,33 +852,98 @@ func (b *solverBase) sequentialBatch(ctx context.Context, reqs []Request,
 // single-problem one, which matters on cache-resident graphs.
 const batchWidth = 12
 
-type linbpBatchEngine struct {
-	eng *kernel.Engine
-	ws  *kernel.Workspace
-	ein []float64 // interleaved explicit beliefs, n × blocks·k
+// kernelCoupling is how a LinBP-family method drives the fused kernel.
+// It is the one place the prepared path treats FABP differently from
+// LinBP: everything downstream — pools, schedules, batching, layout
+// conversion — reads these fields, never the method.
+type kernelCoupling struct {
+	// h is the kernel coupling; echoH, when non-nil, overrides the echo
+	// coupling the kernel would otherwise derive as h².
+	h, echoH *dense.Matrix
+	// degrees reports that the echo term is on, so the engines get the
+	// layout's degree vector.
+	degrees bool
+	// w is the kernel state width of one request: k, or 1 for FABP's
+	// scalar collapse.
+	w int
+	// maxIter is the method's default iteration cap (the default
+	// tolerance, 1e-12, is the same for every method).
+	maxIter int
 }
 
-// linbpSolver serves LinBP and LinBP* through pooled prepared kernel
-// engines: a statePool of single-problem engines for Solve/SolveInto
-// and one statePool of fused multi-block engines per batch chunk size
-// for SolveBatch. All engines share the immutable graph CSR, degree
-// vector, and coupling; only the mutable workspaces
-// are per-pool-entry, so concurrent solves never contend on state.
+// newKernelCoupling derives the kernel coupling of method m from Hˆo
+// and εH. LinBP and LinBP* run the scaled k×k coupling, with and
+// without echo cancellation. FABP (Appendix E) runs the binary residual
+// system collapsed to one scalar per node: H = [c1] with the echo
+// coupling overridden to [c2] (not c1²). It needs k = 2 and |ĥ| < 1/2,
+// beyond which the linearization's implicit (I−Hˆ²)⁻¹ does not exist.
+func newKernelCoupling(m Method, ho *dense.Matrix, eps float64) (kernelCoupling, error) {
+	if m != MethodFABP {
+		return kernelCoupling{
+			h: coupling.Scale(ho, eps), degrees: m == MethodLinBP,
+			w: ho.Rows(), maxIter: linbp.DefaultMaxIter,
+		}, nil
+	}
+	if k := ho.Rows(); k != 2 {
+		return kernelCoupling{}, fmt.Errorf("core: FABP needs k=2 classes, got k=%d: %w", k, errs.ErrDimensionMismatch)
+	}
+	// Any valid k=2 residual coupling has the form [[ĥ,−ĥ],[−ĥ,ĥ]];
+	// the scaled ĥ is its (0,0) entry.
+	hhat := eps * ho.At(0, 0)
+	if math.Abs(hhat) >= 0.5 {
+		return kernelCoupling{}, fmt.Errorf("core: FABP |ĥ| = %v must be < 1/2: %w", hhat, errs.ErrInvalidCoupling)
+	}
+	c1, c2 := fabp.Coefficients(hhat)
+	return kernelCoupling{
+		h:       dense.NewFromRows([][]float64{{c1}}),
+		echoH:   dense.NewFromRows([][]float64{{c2}}),
+		degrees: true, w: 1, maxIter: fabp.DefaultMaxIter,
+	}, nil
+}
+
+// roundsState is one pooled rounds engine fusing c requests, plus the
+// interleaved explicit-belief buffer it reads.
+type roundsState struct {
+	eng *kernel.Engine
+	ws  *kernel.Workspace
+	// ein holds the chunk's explicit beliefs in the kernel layout,
+	// n × c·w; nil for a single-request engine whose solves read the
+	// caller's matrix in place (see linbpSolver.inPlace).
+	ein []float64
+}
+
+// residualState is one pooled residual-scheduled engine plus its
+// layout scratch.
+type residualState struct {
+	eng *kernel.ResidualEngine
+	// ein and sin hold the explicit and warm-start beliefs in the
+	// kernel layout (n × w); nil when solves read the caller's
+	// matrices in place.
+	ein, sin []float64
+	ts       []int32 // touched rows in layout order
+}
+
+// linbpSolver serves LinBP, LinBP* and FABP through pooled prepared
+// kernel engines: one statePool of rounds engines per batch chunk size
+// (batch[0], the single-request engines, also serves every single
+// rounds solve) and, when a residual schedule is available, one pool of
+// residual engines. All engines share the immutable graph CSR, degree
+// vector, and coupling; only the mutable workspaces are per pool
+// entry, so concurrent solves never contend on state.
 type linbpSolver struct {
 	solverBase
 	a       *sparse.CSR // layout-ordered adjacency shared by all engines
-	d       []float64   // matching degrees (nil for LinBP*)
-	h       *dense.Matrix
+	d       []float64   // matching degrees (nil without echo cancellation)
+	kc      kernelCoupling
 	perm    order.Permutation // nil = natural order
 	maxIter int
 	tol     float64
 
-	states *statePool[*linbp.Engine]
-	batch  []*statePool[*linbpBatchEngine] // index c-1 → chunks of c requests
-	// rstates pools the residual-scheduled engines; nil when the
+	batch []*statePool[*roundsState] // index c-1 → chunks of c requests
+	// residual pools the residual-scheduled engines; nil when the
 	// schedule is rounds-only or a negative tolerance forces fixed
 	// rounds (the residual plane has no fixed-round mode).
-	rstates *statePool[*linbp.ResidualEngine]
+	residual *statePool[*residualState]
 }
 
 // kernelLayout is the concrete prepared layout a kernel-backed snapshot
@@ -919,85 +959,197 @@ type kernelLayout struct {
 }
 
 func newLinBPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*linbpSolver, error) {
+	kc, err := newKernelCoupling(base.method, p.Ho, base.eps)
+	if err != nil {
+		return nil, err
+	}
 	var d []float64
-	if base.method == MethodLinBP {
+	if kc.degrees {
 		d = p.Graph.WeightedDegrees()
 	}
 	a, d := permutedLayout(p.Graph.Adjacency(), d, perm)
-	return newLinBPSolverOn(coupling.Scale(p.Ho, base.eps), base, cfg, kernelLayout{a: a, d: d, perm: perm})
+	return newLinBPSolverOn(kc, base, cfg, kernelLayout{a: a, d: d, perm: perm})
 }
 
 // newLinBPSolverOn builds the snapshot on an explicit layout.
-func newLinBPSolverOn(h *dense.Matrix, base solverInfo, cfg config, lay kernelLayout) (*linbpSolver, error) {
+func newLinBPSolverOn(kc kernelCoupling, base solverInfo, cfg config, lay kernelLayout) (*linbpSolver, error) {
 	s := &linbpSolver{
 		a:       lay.a,
 		d:       lay.d,
-		h:       h,
+		kc:      kc,
 		perm:    lay.perm,
 		maxIter: cfg.maxIter,
 		tol:     cfg.tol,
 	}
 	s.solverInfo = base
 	if s.maxIter == 0 {
-		s.maxIter = linbp.DefaultMaxIter
+		s.maxIter = kc.maxIter
 	}
 	if s.tol == 0 {
 		s.tol = linbp.DefaultTol
 	}
 	s.batchHint = s.maxBlocks()
-	s.states = newStatePool(func() (*linbp.Engine, error) {
-		return linbp.NewEngineLayout(s.a, s.d, s.h, s.perm, linbp.Options{
-			EchoCancellation: s.method == MethodLinBP,
-			MaxIter:          s.maxIter,
-			Tol:              s.tol,
-			Workers:          s.workers,
-		})
-	}).withDestroy(func(e *linbp.Engine) { e.Close() })
-	s.batch = make([]*statePool[*linbpBatchEngine], s.maxBlocks())
+	s.batch = make([]*statePool[*roundsState], s.maxBlocks())
 	for i := range s.batch {
 		c := i + 1
-		s.batch[i] = newStatePool(func() (*linbpBatchEngine, error) {
+		s.batch[i] = newStatePool(func() (*roundsState, error) {
 			ws := kernel.GetWorkspace()
 			eng, err := kernel.New(kernel.Config{
-				A: s.a, D: s.d, H: s.h,
+				A: s.a, D: s.d, H: s.kc.h, EchoH: s.kc.echoH,
 				Workers: s.workers, Blocks: c, SymmetricA: true,
 			}, ws)
 			if err != nil {
 				ws.Release()
-				return nil, fmt.Errorf("core: batch engine: %w", err)
+				return nil, fmt.Errorf("core: kernel engine: %w", err)
 			}
-			return &linbpBatchEngine{eng: eng, ws: ws, ein: make([]float64, s.n*c*s.k)}, nil
-		}).withDestroy(func(be *linbpBatchEngine) {
-			be.eng.Close()
-			be.ws.Release()
+			st := &roundsState{eng: eng, ws: ws}
+			if c > 1 || !s.inPlace() {
+				st.ein = make([]float64, s.n*c*s.kc.w)
+			}
+			return st, nil
+		}).withDestroy(func(st *roundsState) {
+			st.eng.Close()
+			st.ws.Release()
 		})
 	}
 	if s.schedule != ScheduleRounds && s.tol > 0 {
-		s.rstates = newStatePool(func() (*linbp.ResidualEngine, error) {
-			return linbp.NewResidualEngineLayout(s.a, s.d, s.h, s.perm, linbp.Options{
-				MaxIter: s.maxIter,
-				Tol:     s.tol,
-			})
-		}).withDestroy(func(e *linbp.ResidualEngine) { e.Close() })
+		s.residual = newStatePool(func() (*residualState, error) {
+			eng, err := kernel.NewResidual(kernel.Config{
+				A: s.a, D: s.d, H: s.kc.h, EchoH: s.kc.echoH, SymmetricA: true,
+			}, s.tol)
+			if err != nil {
+				return nil, fmt.Errorf("core: residual engine: %w", err)
+			}
+			st := &residualState{eng: eng, ts: make([]int32, 0, s.n)}
+			if !s.inPlace() {
+				st.ein = make([]float64, s.n*s.kc.w)
+				st.sin = make([]float64, s.n*s.kc.w)
+			}
+			return st, nil
+		})
 	}
 	// Build (and pool) the first engine eagerly: it validates the
 	// configuration at Prepare time rather than on the first solve.
-	eng, err := s.states.get()
+	st, err := s.batch[0].get()
 	if err != nil {
 		return nil, err
 	}
-	s.states.put(eng)
+	s.batch[0].put(st)
 	if s.schedule == ScheduleResidual {
 		// The residual plane is this solver's serving path: validate its
 		// configuration eagerly too, so Prepare (not the first solve)
 		// reports a bad tolerance.
-		reng, err := s.rstates.get()
+		rst, err := s.residual.get()
 		if err != nil {
 			return nil, err
 		}
-		s.rstates.put(reng)
+		s.residual.put(rst)
 	}
 	return s, nil
+}
+
+// inPlace reports that a single request's beliefs already are in the
+// kernel layout — natural order at full width — so single solves hand
+// the caller's matrices to the engines instead of converting them.
+//
+//lsbp:hotpath
+func (s *linbpSolver) inPlace() bool { return s.perm == nil && s.kc.w == s.k }
+
+// load writes src — n×k belief rows in the caller's node order — into
+// block bi of dst, the kernel's layout-ordered state of c interleaved
+// width-w blocks per node: caller row i lands at layout row perm[i],
+// and at w = 1 only its class-0 entry is kept (FABP's collapse). The
+// branches are per call; the loops copy element-wise because at
+// k ∈ {2, 3} a memmove call per row costs more than the moved bytes.
+//
+//lsbp:hotpath
+func (s *linbpSolver) load(dst, src []float64, c, bi int) {
+	n, k, perm := s.n, s.k, s.perm
+	switch {
+	case s.kc.w == 1 && perm == nil:
+		for i := 0; i < n; i++ {
+			dst[i*c+bi] = src[i*k]
+		}
+	case s.kc.w == 1:
+		for i, pi := range perm {
+			dst[pi*c+bi] = src[i*k]
+		}
+	case perm == nil && c == 1:
+		copy(dst, src)
+	case perm == nil:
+		for i := 0; i < n; i++ {
+			out := dst[(i*c+bi)*k : (i*c+bi)*k+k]
+			in := src[i*k : i*k+k]
+			for j := range out {
+				out[j] = in[j]
+			}
+		}
+	default:
+		for i, pi := range perm {
+			out := dst[(pi*c+bi)*k : (pi*c+bi)*k+k]
+			in := src[i*k : i*k+k]
+			for j := range out {
+				out[j] = in[j]
+			}
+		}
+	}
+}
+
+// store is load's inverse: block bi of the layout-ordered kernel state
+// src goes back to dst's n×k rows in the caller's node order, and at
+// w = 1 each scalar b expands to FABP's (b, −b) row.
+//
+//lsbp:hotpath
+func (s *linbpSolver) store(dst, src []float64, c, bi int) {
+	n, k, perm := s.n, s.k, s.perm
+	switch {
+	case s.kc.w == 1 && perm == nil:
+		for i := 0; i < n; i++ {
+			b := src[i*c+bi]
+			dst[i*2], dst[i*2+1] = b, -b
+		}
+	case s.kc.w == 1:
+		for i, pi := range perm {
+			b := src[pi*c+bi]
+			dst[i*2], dst[i*2+1] = b, -b
+		}
+	case perm == nil && c == 1:
+		copy(dst, src)
+	case perm == nil:
+		for i := 0; i < n; i++ {
+			out := dst[i*k : i*k+k]
+			in := src[(i*c+bi)*k : (i*c+bi)*k+k]
+			for j := range out {
+				out[j] = in[j]
+			}
+		}
+	default:
+		for i, pi := range perm {
+			out := dst[i*k : i*k+k]
+			in := src[(pi*c+bi)*k : (pi*c+bi)*k+k]
+			for j := range out {
+				out[j] = in[j]
+			}
+		}
+	}
+}
+
+// layoutRows maps touched caller node ids to layout rows in the int32
+// form the residual plane takes, reusing buf.
+//
+//lsbp:hotpath
+func (s *linbpSolver) layoutRows(buf []int32, touched []int) []int32 {
+	t := buf[:0]
+	if s.perm == nil {
+		for _, id := range touched {
+			t = append(t, int32(id))
+		}
+	} else {
+		for _, id := range touched {
+			t = append(t, int32(s.perm[id]))
+		}
+	}
+	return t
 }
 
 func (s *linbpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
@@ -1010,41 +1162,13 @@ func (s *linbpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, 
 		return nil, err
 	}
 	s.solves.Add(1) // counted only once the request is well-formed
-	info, err := s.solveInto(ctx, dst, e)
+	info, err := s.solveFrom(ctx, dst, e, nil)
 	return s.finish(dst, info, err)
 }
 
 //lsbp:hotpath
 func (s *linbpSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	s.solves.Add(1)
-	return s.solveInto(ctx, dst, e)
-}
-
-// solveInto runs one counted-elsewhere solve on a pooled engine. The
-// caller holds the read lock and has validated the shapes.
-//
-//lsbp:hotpath
-func (s *linbpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if s.schedule == ScheduleResidual && s.rstates != nil {
-		return s.solveResidual(ctx, dst, e, nil, nil)
-	}
-	if err := s.admitCtx(ctx); err != nil {
-		return SolveInfo{}, err
-	}
-	eng, err := s.states.get()
-	if err != nil {
-		return SolveInfo{}, err
-	}
-	defer s.states.put(eng)
-	iters, delta, converged, err := eng.SolveIntoContext(ctx, dst, e)
-	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
+	return s.SolveFrom(ctx, dst, e, nil)
 }
 
 // SolveFrom is the warm-started serving path of the dynamic plane: the
@@ -1060,35 +1184,28 @@ func (s *linbpSolver) SolveFrom(ctx context.Context, dst, e, start *beliefs.Resi
 		return SolveInfo{}, s.errClosed()
 	}
 	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
+	if err := s.checkWarm(dst, e, start); err != nil {
 		return SolveInfo{}, err
 	}
 	s.solves.Add(1)
-	if s.schedule == ScheduleResidual && s.rstates != nil {
-		return s.solveResidual(ctx, dst, e, start, nil)
-	}
-	return s.solveFromRounds(ctx, dst, e, start)
+	return s.solveFrom(ctx, dst, e, start)
 }
 
-// solveFromRounds is the round-scheduled warm solve; callers hold the
-// read lock, have validated shapes, and have counted the solve.
+// solveFrom routes one counted-elsewhere solve to the schedule's plane.
+// The caller holds the read lock and has validated the shapes.
 //
 //lsbp:hotpath
-func (s *linbpSolver) solveFromRounds(ctx context.Context, dst, e, start *beliefs.Residual) (SolveInfo, error) {
-	if err := s.admitCtx(ctx); err != nil {
-		return SolveInfo{}, err
+func (s *linbpSolver) solveFrom(ctx context.Context, dst, e, start *beliefs.Residual) (SolveInfo, error) {
+	if s.schedule == ScheduleResidual && s.residual != nil {
+		return s.solveResidual(ctx, dst, e, start, nil)
 	}
-	eng, err := s.states.get()
-	if err != nil {
-		return SolveInfo{}, err
-	}
-	defer s.states.put(eng)
-	iters, delta, converged, err := eng.SolveFromIntoContext(ctx, dst, e, start)
-	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
+	return s.solveRounds(ctx, dst, e, start)
 }
 
-// SolveSeeded is the residual plane's localized entry point (see
-// seededSolver): a warm solve seeded from exactly the touched rows.
+// SolveSeeded is the residual plane's localized entry point: a warm
+// solve seeded from exactly the touched rows (caller node ids,
+// deduplicated). A nil touched recomputes every row's residual (valid
+// from any start); a non-nil empty touched is the no-change fast path.
 // Without a usable residual plane (ScheduleAuto over a fixed-round
 // tolerance) it degrades to the full warm rounds solve.
 //
@@ -1098,32 +1215,110 @@ func (s *linbpSolver) SolveSeeded(ctx context.Context, dst, e, start *beliefs.Re
 		return SolveInfo{}, s.errClosed()
 	}
 	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
+	if err := s.checkWarm(dst, e, start); err != nil {
 		return SolveInfo{}, err
 	}
 	s.solves.Add(1)
-	if s.rstates == nil {
-		return s.solveFromRounds(ctx, dst, e, start)
+	if s.residual == nil {
+		return s.solveRounds(ctx, dst, e, start)
 	}
 	return s.solveResidual(ctx, dst, e, start, touched)
 }
 
+// checkWarm validates a dst/e pair and an optional warm start against
+// the prepared dimensions.
+//
+//lsbp:hotpath
+func (s *linbpSolver) checkWarm(dst, e, start *beliefs.Residual) error {
+	if err := s.checkShapes(dst, e); err != nil {
+		return err
+	}
+	if start != nil && (start.N() != s.n || start.K() != s.k) {
+		return fmt.Errorf("core: start matrix %dx%d does not match n=%d k=%d: %w",
+			start.N(), start.K(), s.n, s.k, errs.ErrDimensionMismatch)
+	}
+	return nil
+}
+
+// solveRounds runs one counted-elsewhere solve on a pooled
+// single-request rounds engine, warm-started from start when non-nil.
+// Callers hold the read lock and have validated the shapes.
+//
+//lsbp:hotpath
+func (s *linbpSolver) solveRounds(ctx context.Context, dst, e, start *beliefs.Residual) (SolveInfo, error) {
+	if err := s.admitCtx(ctx); err != nil {
+		return SolveInfo{}, err
+	}
+	st, err := s.batch[0].get()
+	if err != nil {
+		return SolveInfo{}, err
+	}
+	defer s.batch[0].put(st)
+	ed := e.Matrix().Data()
+	if st.ein != nil {
+		s.load(st.ein, ed, 1, 0)
+		ed = st.ein
+	}
+	if start == nil {
+		st.eng.ResetFast()
+	} else {
+		s.load(st.eng.StartState(), start.Matrix().Data(), 1, 0)
+	}
+	st.eng.SetExplicit(ed)
+	iters, delta, converged, err := st.eng.RunContext(ctx, s.maxIter, s.tol, nil)
+	dd := dst.Matrix().Data()
+	if iters == 0 && start == nil {
+		// Nothing ran (pre-cancelled context or a zero iteration cap):
+		// the last completed iterate is the zero start — with ResetFast
+		// the engine buffer may hold a previous solve, so it is not
+		// read. A warm start, by contrast, is still in the state.
+		for i := range dd {
+			dd[i] = 0
+		}
+	} else {
+		s.store(dd, st.eng.Beliefs(), 1, 0)
+	}
+	return s.record(SolveInfo{Iterations: iters, Converged: converged, Delta: delta}, err)
+}
+
 // solveResidual runs one counted-elsewhere solve on a pooled residual
 // engine; the round-equivalent ⌈relaxed/n⌉ keeps Iterations comparable
-// across schedules. Callers hold the read lock and have validated the
-// shapes; s.rstates must be non-nil.
+// across schedules, and MaxIter·n relaxations are the budget of MaxIter
+// full rounds. Callers hold the read lock and have validated the
+// shapes; s.residual must be non-nil.
 //
 //lsbp:hotpath
 func (s *linbpSolver) solveResidual(ctx context.Context, dst, e, start *beliefs.Residual, touched []int) (SolveInfo, error) {
 	if err := s.admitCtx(ctx); err != nil {
 		return SolveInfo{}, err
 	}
-	eng, err := s.rstates.get()
+	st, err := s.residual.get()
 	if err != nil {
 		return SolveInfo{}, err
 	}
-	defer s.rstates.put(eng)
-	relaxed, peak, maxResid, converged, err := eng.SolveSeededContext(ctx, dst, e, start, touched)
+	defer s.residual.put(st)
+	ed := e.Matrix().Data()
+	if st.ein != nil {
+		s.load(st.ein, ed, 1, 0)
+		ed = st.ein
+	}
+	if start == nil {
+		st.eng.SeedExplicit(ed)
+	} else {
+		sd := start.Matrix().Data()
+		if st.sin != nil {
+			s.load(st.sin, sd, 1, 0)
+			sd = st.sin
+		}
+		var rows []int32 // nil recomputes every row
+		if touched != nil {
+			st.ts = s.layoutRows(st.ts, touched)
+			rows = st.ts
+		}
+		st.eng.SeedWarm(sd, ed, rows)
+	}
+	relaxed, peak, maxResid, converged, err := st.eng.Run(ctx, s.maxIter*s.n)
+	s.store(dst.Matrix().Data(), st.eng.Beliefs(), 1, 0)
 	iters := 0
 	if s.n > 0 {
 		iters = (relaxed + s.n - 1) / s.n
@@ -1135,12 +1330,14 @@ func (s *linbpSolver) solveResidual(ctx context.Context, dst, e, start *beliefs.
 }
 
 // maxBlocks is the largest number of requests fused into one kernel
-// chunk for this solver's class count.
+// chunk. Width 1 (FABP) has no register-blocked batch shape, and fused
+// width-1 chunks measured slower per request than single solves
+// (EXPERIMENTS.md), so it serves one request per chunk.
 //
 //lsbp:hotpath
 func (s *linbpSolver) maxBlocks() int {
-	b := batchWidth / s.k
-	if b < 1 {
+	b := batchWidth / s.kc.w
+	if s.kc.w == 1 || b < 1 {
 		return 1
 	}
 	return b
@@ -1226,45 +1423,27 @@ func (s *linbpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response
 //lsbp:hotpath
 func (s *linbpSolver) solveChunk(ctx context.Context, reqs []Request, resp []Response, chunk []int) error {
 	c := len(chunk)
-	be, err := s.batch[c-1].get()
+	st, err := s.batch[c-1].get()
 	if err != nil {
 		for _, ri := range chunk {
 			resp[ri].Err = err
 		}
 		return err
 	}
-	defer s.batch[c-1].put(be)
-	n, k := s.n, s.k
-	// Interleave the chunk's explicit beliefs: node i's blocks·k row
-	// holds request 0..c-1's k-wide rows back to back. Element loops
-	// instead of per-row copy() — at k ∈ {2,3} the memmove call would
-	// cost more than the moved bytes. Under a reordered layout the
-	// permutation rides along in the same pass: node i lands at its
-	// layout position, so the shuffle costs nothing extra.
-	for bi, ri := range chunk {
-		ed := reqs[ri].E.Matrix().Data()
-		if s.perm == nil {
-			for i := 0; i < n; i++ {
-				dst := be.ein[(i*c+bi)*k : (i*c+bi)*k+k]
-				src := ed[i*k : i*k+k]
-				for j := range dst {
-					dst[j] = src[j]
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				pi := s.perm[i]
-				dst := be.ein[(pi*c+bi)*k : (pi*c+bi)*k+k]
-				src := ed[i*k : i*k+k]
-				for j := range dst {
-					dst[j] = src[j]
-				}
-			}
+	defer s.batch[c-1].put(st)
+	// Interleave the chunk's explicit beliefs: node i's c·w row holds
+	// request 0..c-1's rows back to back.
+	ein := st.ein
+	if ein == nil {
+		ein = reqs[chunk[0]].E.Matrix().Data()
+	} else {
+		for bi, ri := range chunk {
+			s.load(ein, reqs[ri].E.Matrix().Data(), c, bi)
 		}
 	}
-	be.eng.ResetFast()
-	be.eng.SetExplicit(be.ein)
-	iters, delta, converged, runErr := be.eng.RunContext(ctx, s.maxIter, s.tol, nil)
+	st.eng.ResetFast()
+	st.eng.SetExplicit(ein)
+	iters, delta, converged, runErr := st.eng.RunContext(ctx, s.maxIter, s.tol, nil)
 	s.iterations.Add(int64(iters))
 
 	// One shared error value per chunk: its requests share rounds, so
@@ -1281,7 +1460,7 @@ func (s *linbpSolver) solveChunk(ctx context.Context, reqs []Request, resp []Res
 	// De-interleave results and fill the chunk's responses. When no
 	// round completed (pre-cancelled context) the engine buffer is not
 	// meaningful; the responses carry only the error.
-	state := be.eng.Beliefs()
+	state := st.eng.Beliefs()
 	info := SolveInfo{Iterations: iters, Converged: converged, Delta: delta}
 	for bi, ri := range chunk {
 		resp[ri].Info = info
@@ -1302,27 +1481,9 @@ func (s *linbpSolver) solveChunk(ctx context.Context, reqs []Request, resp []Res
 		}
 		dst := reqs[ri].Dst
 		if dst == nil {
-			dst = beliefs.New(n, k) //lsbp:ignore hotpath-noalloc -- a nil Dst is the caller opting out of zero-alloc
+			dst = beliefs.New(s.n, s.k) //lsbp:ignore hotpath-noalloc -- a nil Dst is the caller opting out of zero-alloc
 		}
-		dd := dst.Matrix().Data()
-		if s.perm == nil {
-			for i := 0; i < n; i++ {
-				out := dd[i*k : i*k+k]
-				src := state[(i*c+bi)*k : (i*c+bi)*k+k]
-				for j := range out {
-					out[j] = src[j]
-				}
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				pi := s.perm[i]
-				out := dd[i*k : i*k+k]
-				src := state[(pi*c+bi)*k : (pi*c+bi)*k+k]
-				for j := range out {
-					out[j] = src[j]
-				}
-			}
-		}
+		s.store(dst.Matrix().Data(), state, c, bi)
 		resp[ri].Beliefs = dst
 	}
 	if runErr != nil && ctx.Err() != nil {
@@ -1335,12 +1496,8 @@ func (s *linbpSolver) solveChunk(ctx context.Context, reqs []Request, resp []Res
 
 func (s *linbpSolver) Close() error {
 	return s.closeOnce(func() {
-		s.states.closeAll()
 		for _, bp := range s.batch {
 			bp.closeAll()
-		}
-		if s.rstates != nil {
-			s.rstates.closeAll()
 		}
 	})
 }
@@ -1604,257 +1761,3 @@ func (s *sbpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
 }
 
 func (s *sbpSolver) Close() error { return s.closeOnce(nil) }
-
-// ---------------------------------------------------------------------------
-// FABP
-
-// fabpState is one per-solve FABP workspace: a prepared scalar engine
-// plus the collapse/expand scratch vectors.
-type fabpState struct {
-	eng        *fabp.Engine
-	es, bs, ss []float64 // scalar explicit/result/start scratch (layout order)
-	// reng and ts serve the residual schedule; reng is nil when the
-	// schedule is rounds-only or a negative tolerance forces fixed
-	// rounds, and ts is the layout-order touched-row scratch.
-	reng *fabp.ResidualEngine
-	ts   []int32
-}
-
-// fabpSolver serves the binary (k = 2) scalar linearization of
-// Appendix E through pooled prepared fabp.Engines. The k×k residual
-// problem surface is kept: explicit beliefs come in as n×2 residual
-// rows whose class-0 component is the scalar input, and results are
-// expanded back to (b, −b) rows, so FABP really is a drop-in fifth
-// method.
-type fabpSolver struct {
-	solverBase
-	a       *sparse.CSR
-	d       []float64
-	hhat    float64
-	perm    order.Permutation
-	maxIter int
-	tol     float64
-	states  *statePool[*fabpState]
-}
-
-func newFABPSolver(p *Problem, base solverInfo, cfg config, perm order.Permutation) (*fabpSolver, error) {
-	if p.K() != 2 {
-		return nil, fmt.Errorf("core: FABP needs k=2 classes, got k=%d: %w", p.K(), errs.ErrDimensionMismatch)
-	}
-	a, d := permutedLayout(p.Graph.Adjacency(), p.Graph.WeightedDegrees(), perm)
-	// Any valid k=2 residual coupling has the form [[ĥ,−ĥ],[−ĥ,ĥ]];
-	// the scaled ĥ is its (0,0) entry.
-	return newFABPSolverOn(base.eps*p.Ho.At(0, 0), base, cfg, kernelLayout{a: a, d: d, perm: perm})
-}
-
-// newFABPSolverOn builds the snapshot on an explicit layout.
-func newFABPSolverOn(hhat float64, base solverInfo, cfg config, lay kernelLayout) (*fabpSolver, error) {
-	s := &fabpSolver{
-		a:       lay.a,
-		d:       lay.d,
-		hhat:    hhat,
-		perm:    lay.perm,
-		maxIter: cfg.maxIter,
-		tol:     cfg.tol,
-	}
-	s.solverInfo = base
-	s.states = newStatePool(func() (*fabpState, error) {
-		eng, err := fabp.NewEngineCSR(s.a, s.d, s.hhat, fabp.Options{
-			MaxIter: s.maxIter, Tol: s.tol,
-		})
-		if err != nil {
-			return nil, err
-		}
-		st := &fabpState{
-			eng: eng,
-			es:  make([]float64, s.n),
-			bs:  make([]float64, s.n),
-			ss:  make([]float64, s.n),
-		}
-		if s.schedule != ScheduleRounds && s.tol >= 0 {
-			// Tol 0 selects the package default inside fabp, matching the
-			// rounds engine above; only an explicit fixed-round tolerance
-			// (< 0) leaves the residual plane out.
-			st.reng, err = fabp.NewResidualEngineCSR(s.a, s.d, s.hhat, fabp.Options{
-				MaxIter: s.maxIter, Tol: s.tol,
-			})
-			if err != nil {
-				eng.Close()
-				return nil, err
-			}
-			st.ts = make([]int32, 0, s.n)
-		}
-		return st, nil
-	}).withDestroy(func(st *fabpState) { st.eng.Close() })
-	st, err := s.states.get()
-	if err != nil {
-		return nil, err
-	}
-	s.states.put(st)
-	return s, nil
-}
-
-func (s *fabpSolver) Solve(ctx context.Context, e *beliefs.Residual) (*Result, error) {
-	if !s.begin() {
-		return nil, s.errClosed()
-	}
-	defer s.end()
-	dst := beliefs.New(s.n, s.k)
-	if err := s.checkShapes(dst, e); err != nil {
-		return nil, err
-	}
-	s.solves.Add(1)
-	info, err := s.solveInto(ctx, dst, e)
-	return s.finish(dst, info, err)
-}
-
-func (s *fabpSolver) SolveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	s.solves.Add(1)
-	return s.solveInto(ctx, dst, e)
-}
-
-func (s *fabpSolver) solveInto(ctx context.Context, dst, e *beliefs.Residual) (SolveInfo, error) {
-	return s.solveFromInto(ctx, dst, e, nil, nil, s.schedule == ScheduleResidual)
-}
-
-// SolveFrom is the warm-started serving path of the dynamic plane (see
-// linbpSolver.SolveFrom); the binary collapse starts the Jacobi
-// iteration at start's class-0 residuals. A nil start solves cold.
-// Under ScheduleResidual it is served by the residual plane (full warm
-// seed — valid from any start).
-func (s *fabpSolver) SolveFrom(ctx context.Context, dst, e, start *beliefs.Residual) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	if start != nil && (start.N() != s.n || start.K() != s.k) {
-		return SolveInfo{}, fmt.Errorf("core: start matrix %dx%d does not match n=%d k=%d: %w",
-			start.N(), start.K(), s.n, s.k, errs.ErrDimensionMismatch)
-	}
-	s.solves.Add(1)
-	return s.solveFromInto(ctx, dst, e, start, nil, s.schedule == ScheduleResidual)
-}
-
-// SolveSeeded is the residual plane's localized entry point (see
-// seededSolver and linbpSolver.SolveSeeded).
-func (s *fabpSolver) SolveSeeded(ctx context.Context, dst, e, start *beliefs.Residual, touched []int) (SolveInfo, error) {
-	if !s.begin() {
-		return SolveInfo{}, s.errClosed()
-	}
-	defer s.end()
-	if err := s.checkShapes(dst, e); err != nil {
-		return SolveInfo{}, err
-	}
-	if start != nil && (start.N() != s.n || start.K() != s.k) {
-		return SolveInfo{}, fmt.Errorf("core: start matrix %dx%d does not match n=%d k=%d: %w",
-			start.N(), start.K(), s.n, s.k, errs.ErrDimensionMismatch)
-	}
-	s.solves.Add(1)
-	return s.solveFromInto(ctx, dst, e, start, touched, true)
-}
-
-// solveFromInto is the shared collapse/solve/expand body. residual
-// selects the residual-scheduled plane; it degrades to warm rounds
-// when the pooled state has no residual engine (fixed-round tolerance
-// under ScheduleAuto).
-func (s *fabpSolver) solveFromInto(ctx context.Context, dst, e, start *beliefs.Residual, touched []int, residual bool) (SolveInfo, error) {
-	if err := s.admitCtx(ctx); err != nil {
-		return SolveInfo{}, err
-	}
-	st, err := s.states.get()
-	if err != nil {
-		return SolveInfo{}, err
-	}
-	defer s.states.put(st)
-	// The scalar collapse/expand copies double as the layout shuffle:
-	// indexing through perm costs nothing extra per element.
-	ed := e.Matrix().Data()
-	if s.perm == nil {
-		for i := 0; i < s.n; i++ {
-			st.es[i] = ed[i*2]
-		}
-	} else {
-		for i := 0; i < s.n; i++ {
-			st.es[s.perm[i]] = ed[i*2]
-		}
-	}
-	var ss []float64
-	if start != nil {
-		sd := start.Matrix().Data()
-		ss = st.ss
-		if s.perm == nil {
-			for i := 0; i < s.n; i++ {
-				ss[i] = sd[i*2]
-			}
-		} else {
-			for i := 0; i < s.n; i++ {
-				ss[s.perm[i]] = sd[i*2]
-			}
-		}
-	}
-	var iters, relaxed, peak int
-	var delta float64
-	var converged bool
-	if residual && st.reng != nil {
-		var tptr []int32
-		if touched != nil {
-			ts := st.ts[:0]
-			if s.perm == nil {
-				for _, id := range touched {
-					ts = append(ts, int32(id))
-				}
-			} else {
-				for _, id := range touched {
-					ts = append(ts, int32(s.perm[id]))
-				}
-			}
-			st.ts = ts
-			tptr = ts
-		}
-		relaxed, peak, delta, converged, err = st.reng.SolveSeeded(ctx, st.bs, st.es, ss, tptr)
-		if s.n > 0 {
-			iters = (relaxed + s.n - 1) / s.n
-		}
-	} else {
-		iters, delta, converged, err = st.eng.SolveFromInto(ctx, st.bs, st.es, ss)
-	}
-	dd := dst.Matrix().Data()
-	if s.perm == nil {
-		for i, b := range st.bs {
-			dd[i*2], dd[i*2+1] = b, -b
-		}
-	} else {
-		for i := 0; i < s.n; i++ {
-			b := st.bs[s.perm[i]]
-			dd[i*2], dd[i*2+1] = b, -b
-		}
-	}
-	return s.record(SolveInfo{
-		Iterations: iters, Converged: converged, Delta: delta,
-		RowsRelaxed: relaxed, QueuePeak: peak,
-	}, err)
-}
-
-func (s *fabpSolver) SolveBatch(ctx context.Context, reqs []Request) []Response {
-	if !s.begin() {
-		return failAll(reqs, s.errClosed())
-	}
-	defer s.end()
-	return s.sequentialBatch(ctx, reqs, s.solveInto)
-}
-
-func (s *fabpSolver) Close() error {
-	return s.closeOnce(func() {
-		s.states.closeAll()
-	})
-}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -606,5 +607,43 @@ func TestSBPRunnerReusesOrdering(t *testing.T) {
 func TestMethodFABPString(t *testing.T) {
 	if MethodFABP.String() != "FABP" {
 		t.Fatalf("String() = %q", MethodFABP.String())
+	}
+}
+
+// TestWarmStartShapeRejected pins the warm-start shape check of the
+// LinBP-family snapshot: SolveFrom and SolveSeeded reject a start with
+// a wrong class count or a wrong node count as ErrDimensionMismatch,
+// for every method it serves and under both the natural and a
+// reordered layout, before any kernel work runs.
+func TestWarmStartShapeRejected(t *testing.T) {
+	const n = 60
+	ctx := context.Background()
+	for _, m := range []Method{MethodLinBP, MethodLinBPStar, MethodFABP} {
+		k := 3
+		if m == MethodFABP {
+			k = 2
+		}
+		p := randomProblem(t, n, 130, k, 0.02, 31)
+		for _, r := range []Reordering{ReorderNone, ReorderRCM} {
+			s, err := Prepare(p, m, WithReordering(r), WithSchedule(ScheduleAuto))
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := s.(*dynSolver).cur.Load().snap.(*linbpSolver)
+			dst := beliefs.New(n, k)
+			for _, start := range []*beliefs.Residual{beliefs.New(n, k+1), beliefs.New(n-1, k)} {
+				name := fmt.Sprintf("%v/%v/start=%dx%d", m, r, start.N(), start.K())
+				if _, err := snap.SolveFrom(ctx, dst, p.Explicit, start); !errors.Is(err, ErrDimensionMismatch) {
+					t.Errorf("%s: SolveFrom err = %v, want ErrDimensionMismatch", name, err)
+				}
+				if _, err := snap.SolveSeeded(ctx, dst, p.Explicit, start, []int{0}); !errors.Is(err, ErrDimensionMismatch) {
+					t.Errorf("%s: SolveSeeded err = %v, want ErrDimensionMismatch", name, err)
+				}
+			}
+			if st := s.Stats(); st.Solves != 0 {
+				t.Errorf("%v/%v: %d solves counted for rejected requests", m, r, st.Solves)
+			}
+			s.Close()
+		}
 	}
 }

@@ -318,43 +318,24 @@ func (e *Engine) Width() int { return e.wd }
 //
 //lsbp:hotpath
 func (e *Engine) SetStart(b []float64) {
-	e.checkOpen()
 	if len(b) != e.n*e.wd {
 		panic(fmt.Sprintf("kernel: start length %d, want %d", len(b), e.n*e.wd))
 	}
-	copy(e.ws.cur, b)
-	e.startZero = false
-	e.sparseNext = false
+	copy(e.StartState(), b)
 }
 
-// SetStartPermuted warm-starts the iteration from b (flat n×width,
-// copied) under the node relabeling perm (perm[old] = new): b's row i
-// lands at state row perm[i], so callers holding beliefs in their own
-// node order can seed a layout-reordered engine in one pass with no
-// intermediate shuffle buffer. A nil perm is SetStart. Like SetStart it
-// cancels the Bˆ¹ = Eˆ zero-start shortcut: the next Step runs a full
-// round from the provided state.
+// StartState returns the belief state (flat n×width) for the caller to
+// fill with a warm start in place — callers holding beliefs in another
+// layout shuffle them in with one pass and no intermediate buffer. Like
+// SetStart it cancels the Bˆ¹ = Eˆ zero-start shortcut: the next Step
+// runs a full round from whatever the caller wrote.
 //
 //lsbp:hotpath
-func (e *Engine) SetStartPermuted(b []float64, perm []int) {
-	if perm == nil {
-		e.SetStart(b)
-		return
-	}
+func (e *Engine) StartState() []float64 {
 	e.checkOpen()
-	if len(b) != e.n*e.wd {
-		panic(fmt.Sprintf("kernel: start length %d, want %d", len(b), e.n*e.wd))
-	}
-	if len(perm) != e.n {
-		panic(fmt.Sprintf("kernel: start permutation length %d, want %d", len(perm), e.n))
-	}
-	wd := e.wd
-	cur := e.ws.cur
-	for i, nw := range perm {
-		copy(cur[nw*wd:nw*wd+wd], b[i*wd:i*wd+wd])
-	}
 	e.startZero = false
 	e.sparseNext = false
+	return e.ws.cur[:e.n*e.wd]
 }
 
 // SetExplicit installs the explicit residual beliefs Eˆ (flat n×width).

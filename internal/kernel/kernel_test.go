@@ -632,7 +632,7 @@ func TestSparseRoundBitwiseIdentical(t *testing.T) {
 	}
 }
 
-func TestSetStartPermutedMatchesSetStart(t *testing.T) {
+func TestStartStateMatchesSetStart(t *testing.T) {
 	a := randomCSR(8, 3, 5)
 	h := dense.NewFromRows([][]float64{{0.1, -0.1}, {-0.1, 0.1}})
 	e := make([]float64, 16)
@@ -664,22 +664,22 @@ func TestSetStartPermutedMatchesSetStart(t *testing.T) {
 		return append([]float64(nil), eng.Beliefs()...)
 	}
 	want := run(func(e *Engine) { e.SetStart(shuffled) })
-	got := run(func(e *Engine) { e.SetStartPermuted(start, perm) })
+	// Shuffling straight into the state is the same warm start, and it
+	// too must cancel the fresh engine's zero-start shortcut.
+	got := run(func(e *Engine) {
+		st := e.StartState()
+		for i, nw := range perm {
+			copy(st[nw*2:nw*2+2], start[i*2:i*2+2])
+		}
+	})
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("belief[%d] = %v, want %v (bitwise)", i, got[i], want[i])
 		}
 	}
-	// nil perm degrades to SetStart.
-	gotNil := run(func(e *Engine) { e.SetStartPermuted(shuffled, nil) })
-	for i := range want {
-		if gotNil[i] != want[i] {
-			t.Fatalf("nil-perm belief[%d] = %v, want %v", i, gotNil[i], want[i])
-		}
-	}
 }
 
-func TestSetStartPermutedValidation(t *testing.T) {
+func TestSetStartValidation(t *testing.T) {
 	a := randomCSR(4, 2, 9)
 	h := dense.NewFromRows([][]float64{{0.1}})
 	eng, err := New(Config{A: a, H: h}, nil)
@@ -687,17 +687,10 @@ func TestSetStartPermutedValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	for name, fn := range map[string]func(){
-		"short start": func() { eng.SetStartPermuted(make([]float64, 3), []int{0, 1, 2, 3}) },
-		"short perm":  func() { eng.SetStartPermuted(make([]float64, 4), []int{0, 1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("short start: no panic")
+		}
+	}()
+	eng.SetStart(make([]float64, 3))
 }

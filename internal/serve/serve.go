@@ -111,8 +111,16 @@ type waiter struct {
 }
 
 func (w *waiter) finish(dst *beliefs.Residual, info core.SolveInfo, err error) {
-	w.dst, w.info, w.err = dst, info, err
+	w.answer(dst, info, err)
 	close(w.done)
+}
+
+// answer records a dispatched waiter's results without waking its
+// caller: the dispatch worker closes done only after it has left the
+// in-flight count, so a caller holding its answer never observes its
+// own batch as still in flight.
+func (w *waiter) answer(dst *beliefs.Residual, info core.SolveInfo, err error) {
+	w.dst, w.info, w.err = dst, info, err
 }
 
 // FrontEnd is the serving surface. Create with New, share freely: all
@@ -337,6 +345,11 @@ func (f *FrontEnd) worker() {
 		f.runBatch(batch)
 		f.mu.Lock()
 		f.inFlight--
+		f.mu.Unlock()
+		for _, w := range batch {
+			close(w.done)
+		}
+		f.mu.Lock()
 	}
 }
 
@@ -360,13 +373,16 @@ func (f *FrontEnd) take() []*waiter {
 // runBatch serves one coalesced batch: dispatch-time expiry recheck,
 // fused SolveBatch under panic confinement, singleton retries for
 // panic cohabitants and poisoned fused chunks, latency bookkeeping.
+// It answers every waiter of the batch; the worker wakes them.
 func (f *FrontEnd) runBatch(batch []*waiter) {
 	ewma := time.Duration(f.est.Value())
-	live := batch[:0]
-	for _, w := range batch {
+	// Partition in place, live waiters first: the worker wakes every
+	// waiter of batch afterwards, so none may be overwritten.
+	nlive := 0
+	for i, w := range batch {
 		if err := w.ctx.Err(); err != nil {
 			f.expired.Add(1)
-			w.finish(nil, core.SolveInfo{}, fmt.Errorf("serve: expired before dispatch: %w", err))
+			w.answer(nil, core.SolveInfo{}, fmt.Errorf("serve: expired before dispatch: %w", err))
 			continue
 		}
 		// A waiter whose residual budget cannot cover the batch about
@@ -375,12 +391,14 @@ func (f *FrontEnd) runBatch(batch []*waiter) {
 		// latency stays bounded by deadline + one batch round.
 		if dl, ok := w.ctx.Deadline(); ok && ewma > 0 && time.Until(dl) < ewma {
 			f.shedBudget.Add(1)
-			w.finish(nil, core.SolveInfo{}, fmt.Errorf("serve: %s of budget left at dispatch, ~%s estimated: %w",
+			w.answer(nil, core.SolveInfo{}, fmt.Errorf("serve: %s of budget left at dispatch, ~%s estimated: %w",
 				time.Until(dl).Round(time.Microsecond), ewma.Round(time.Microsecond), errs.ErrDeadlineBudget))
 			continue
 		}
-		live = append(live, w)
+		batch[i], batch[nlive] = batch[nlive], w
+		nlive++
 	}
+	live := batch[:nlive]
 	if len(live) == 0 {
 		return
 	}
@@ -420,11 +438,11 @@ func (f *FrontEnd) runBatch(batch []*waiter) {
 			// converting late deliveries is what keeps served latency
 			// bounded by deadline + one batch round.
 			f.expired.Add(1)
-			w.finish(nil, core.SolveInfo{}, fmt.Errorf("serve: answer ready after deadline: %w", cerr))
+			w.answer(nil, core.SolveInfo{}, fmt.Errorf("serve: answer ready after deadline: %w", cerr))
 			continue
 		}
 		f.completed.Add(1)
-		w.finish(r.Beliefs, r.Info, r.Err)
+		w.answer(r.Beliefs, r.Info, r.Err)
 	}
 }
 
@@ -464,10 +482,10 @@ func (f *FrontEnd) retrySingleton(w *waiter, req core.Request) {
 	info, err := f.solveOneGuarded(w.ctx, req)
 	f.completed.Add(1)
 	if err != nil {
-		w.finish(nil, info, err)
+		w.answer(nil, info, err)
 		return
 	}
-	w.finish(req.Dst, info, nil)
+	w.answer(req.Dst, info, nil)
 }
 
 func (f *FrontEnd) solveOneGuarded(ctx context.Context, req core.Request) (info core.SolveInfo, err error) {

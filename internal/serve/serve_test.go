@@ -254,6 +254,83 @@ func slowCtx(t *testing.T, release <-chan struct{}) context.Context {
 	return ctx
 }
 
+// gateSolver holds its first SolveBatch until release closes, so the
+// requests queued meanwhile coalesce into the next batch.
+type gateSolver struct {
+	core.Solver
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *gateSolver) SolveBatch(ctx context.Context, reqs []core.Request) []core.Response {
+	first := false
+	g.once.Do(func() { first = true; close(g.entered) })
+	if first {
+		<-g.release
+	}
+	return g.Solver.SolveBatch(ctx, reqs)
+}
+
+// TestDispatchShedWakesEveryWaiter: when a batch mixes a waiter shed at
+// dispatch (its budget is below the batch estimate) with a live one,
+// both callers get their answers — the shed one typed, the live one
+// solved — and the front end is idle once they have.
+func TestDispatchShedWakesEveryWaiter(t *testing.T) {
+	p := testProblem(t, 200, 420, 3, 6)
+	g := &gateSolver{Solver: prepared(t, p), entered: make(chan struct{}), release: make(chan struct{})}
+	f := New(g, Config{MaxInFlight: 1, MaxBatch: 8})
+	defer f.Close()
+
+	go f.Solve(context.Background(), p.Explicit)
+	<-g.entered // the worker is inside the first batch, the estimate still empty
+	t0 := time.Now()
+	waitQueue := func(n int) {
+		for f.Stats().QueueLen < n {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// The doomed waiter queues first: its deadline outlives the stall
+	// but not the stall-long estimate the first batch leaves behind.
+	shedCtx, cancel := context.WithDeadline(context.Background(), t0.Add(600*time.Millisecond))
+	defer cancel()
+	errsCh := make(chan error, 2)
+	go func() {
+		_, _, err := f.Solve(shedCtx, p.Explicit)
+		errsCh <- err
+	}()
+	waitQueue(1)
+	go func() {
+		_, _, err := f.Solve(context.Background(), p.Explicit)
+		errsCh <- err
+	}()
+	waitQueue(2)
+	time.Sleep(time.Until(t0.Add(400 * time.Millisecond)))
+	close(g.release)
+
+	var live, shed int
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errsCh:
+			switch {
+			case err == nil:
+				live++
+			case errors.Is(err, errs.ErrDeadlineBudget), errors.Is(err, context.DeadlineExceeded):
+				shed++
+			default:
+				t.Errorf("unexpected error: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a caller of the mixed batch was never answered")
+		}
+	}
+	if live != 1 || shed != 1 {
+		t.Errorf("live=%d shed=%d, want one of each", live, shed)
+	}
+	if st := f.Stats(); st.QueueLen != 0 || st.InFlight != 0 {
+		t.Errorf("queue=%d inflight=%d after every caller was answered, want idle", st.QueueLen, st.InFlight)
+	}
+}
+
 // walFaultFS makes a WAL append rollback fail so the log latches its
 // sticky broken state.
 type walFaultFS struct {

@@ -204,28 +204,6 @@ func AutoEpsilonH(g *Graph, ho *Matrix, m Method) (float64, error) {
 	return core.AutoEpsilonH(g, ho, m)
 }
 
-// LinBPEngine is a LinBP solver prepared once for a fixed graph and
-// coupling and reused across many solves, backed by the fused
-// zero-allocation compute kernel — the right shape for serving heavy
-// repeated classification traffic over one network. Construct with
-// NewLinBPEngine; Close it when done.
-type LinBPEngine = linbp.Engine
-
-// LinBPOptions tunes a LinBPEngine (echo cancellation, iteration
-// bounds, and the Workers count for the row-partitioned parallel pass).
-type LinBPOptions = linbp.Options
-
-// NewLinBPEngine prepares a reusable solver for the problem's graph and
-// scaled coupling. Explicit beliefs are supplied per solve:
-//
-//	eng, _ := lsbp.NewLinBPEngine(p, lsbp.LinBPOptions{EchoCancellation: true})
-//	defer eng.Close()
-//	res, _ := eng.Solve(e)          // fresh result
-//	eng.SolveInto(dst, e)           // zero-allocation serving path
-func NewLinBPEngine(p *Problem, opts LinBPOptions) (*LinBPEngine, error) {
-	return linbp.NewEngine(p.Graph, p.ScaledH(), opts)
-}
-
 // IncrementalLinBP maintains a LinBP fixpoint across belief changes and
 // edge insertions/deletions by warm-starting the iteration (the
 // future-work direction of the paper's Section 8). It is a thin wrapper
@@ -321,10 +299,16 @@ func Compare(groundTruth, other [][]int) (PR, error) { return metrics.Compare(gr
 
 // BinaryFABP solves the k = 2 special case (Appendix E) given the
 // class-0 residuals e and residual coupling strength hhat ∈ (−1/2, 1/2).
+// When the iteration does not converge (c1·ρ(A) ≥ 1 diverges) it
+// returns the last iterate together with an error wrapping
+// ErrNotConverged.
 func BinaryFABP(g *Graph, e []float64, hhat float64) ([]float64, error) {
 	res, err := fabp.Run(g, e, hhat, fabp.Options{})
 	if err != nil {
 		return nil, err
+	}
+	if !res.Converged {
+		return res.B, fmt.Errorf("lsbp: FABP after %d iterations (delta %g): %w", res.Iterations, res.Delta, ErrNotConverged)
 	}
 	return res.B, nil
 }

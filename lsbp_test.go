@@ -1,6 +1,8 @@
 package lsbp_test
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -125,6 +127,30 @@ func TestBinaryFABPFacade(t *testing.T) {
 	}
 	if b[8] <= 0 {
 		t.Fatal("homophily must propagate a positive lean")
+	}
+}
+
+// TestBinaryFABPReportsDivergence: outside the convergence region
+// (c1·ρ(A) ≥ 1, here ρ(A) = 2^(5/2) on Kronecker power 5) the Jacobi
+// iteration grows without bound; the facade must hand back the last
+// iterate with ErrNotConverged instead of a silent nil error.
+func TestBinaryFABPReportsDivergence(t *testing.T) {
+	g := lsbp.KroneckerGraph(5)
+	e := make([]float64, g.N())
+	e[0] = 0.1
+	b, err := lsbp.BinaryFABP(g, e, 0.08)
+	if !errors.Is(err, lsbp.ErrNotConverged) {
+		t.Fatalf("err = %v, want ErrNotConverged", err)
+	}
+	if len(b) != g.N() {
+		t.Fatalf("got %d beliefs, want the last iterate of all %d nodes", len(b), g.N())
+	}
+	var max float64
+	for _, v := range b {
+		max = math.Max(max, math.Abs(v))
+	}
+	if max < 1 {
+		t.Errorf("max |b| = %g, want the diverged iterate", max)
 	}
 }
 

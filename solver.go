@@ -126,8 +126,9 @@ func PrepareSBP(p *Problem, opts ...Option) (Solver, error) {
 }
 
 // PrepareFABP prepares the binary (k = 2) scalar solver of Appendix E
-// on the same Problem surface: explicit beliefs are n×2 residual rows
-// and results come back as (b, −b) rows.
+// — the width-1 configuration of the LinBP solver — on the same Problem
+// surface: explicit beliefs are n×2 residual rows and results come back
+// as (b, −b) rows.
 func PrepareFABP(p *Problem, opts ...Option) (Solver, error) {
 	return core.Prepare(p, core.MethodFABP, opts...)
 }
