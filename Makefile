@@ -56,9 +56,6 @@
 #   LSBP_BENCH_REORDER_POWER=P  Kronecker power of the layout, update,
 #                   residual and durable benchmarks (default 11 = 177,147
 #                   nodes)
-#   LSBP_BENCH_RESIDUAL_EPS=E  skip bench-residual's one-time auto-εH
-#                   spectral derivation (minutes at power 11) and use E
-#                   (deterministic per power; 0.01497919... at 11)
 
 GO ?= go
 BENCHTIME ?= 1s

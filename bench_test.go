@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
@@ -435,6 +436,38 @@ func BenchmarkEx20ExactCriterion(b *testing.B) {
 		if _, err := linbp.CheckConvergence(g, h, true); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAutoEpsilonH times the exact Lemma 8 threshold search that
+// WithAutoEpsilonH halves, with the Fig. 6b Hˆo on the power-8 Kronecker
+// graph and on the power of the layout benchmarks (default 11), and
+// reports the n-dimensional operator applications it spends. At powers
+// 8 and 11 it also checks the result against the recorded thresholds
+// (twice the serving benchmark's εH).
+func BenchmarkAutoEpsilonH(b *testing.B) {
+	recorded := map[int]float64{8: 2 * 0.042349442205630958, 11: 2 * 0.014979190824705734}
+	for _, power := range []int{8, reorderBenchPower()} {
+		b.Run(fmt.Sprintf("power=%d", power), func(b *testing.B) {
+			g := gen.Kronecker(power)
+			g.WeightedDegrees()
+			ho := coupling.Fig6bResidual()
+			var eps float64
+			var matvecs int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, mv, err := linbp.ExactThreshold(g, ho, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eps, matvecs = e, matvecs+mv
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(matvecs)/float64(b.N), "matvecs/op")
+			if want, ok := recorded[power]; ok && math.Abs(eps-want) > 1e-6*want {
+				b.Fatalf("threshold %.17g, recorded %.17g", eps, want)
+			}
+		})
 	}
 }
 

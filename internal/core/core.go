@@ -236,12 +236,5 @@ func AutoEpsilonH(g *graph.Graph, ho *dense.Matrix, m Method) (float64, error) {
 	if m != MethodLinBP && m != MethodLinBPStar {
 		return 0, fmt.Errorf("core: AutoEpsilonH applies to LinBP/LinBP*, not %v: %w", m, errs.ErrInvalidInput)
 	}
-	eps, err := linbp.MaxEpsilonH(g, ho, m == MethodLinBP, true)
-	if err != nil {
-		return 0, err
-	}
-	if math.IsInf(eps, 1) {
-		return 1, nil
-	}
-	return eps / 2, nil
+	return autoEpsilon(g, ho, m == MethodLinBP)
 }

@@ -482,9 +482,9 @@ func (e *Engine) RunContext(ctx context.Context, maxIter int, tol float64, onIte
 
 // ApplyInto computes dst = A·src·H − D∘(src·H₂) — the bare update
 // operator without the explicit-belief term — through the same fused
-// row kernels as Step. It backs spectral.LinBPOp's power iteration
-// (Lemma 8), so the spectral criteria and the solver share one
-// implementation of the operator. dst and src are flat n×width and
+// row kernels as Step. It applies the full Lemma 8 operator that the
+// exact-criterion tests check package linbp's block search against.
+// dst and src are flat n×width and
 // must not alias. The engine's iteration state is left untouched.
 //
 //lsbp:hotpath

@@ -14,14 +14,16 @@
 package linbp
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/beliefs"
+	"repro/internal/coupling"
 	"repro/internal/dense"
 	"repro/internal/errs"
 	"repro/internal/graph"
+	"repro/internal/sparse"
 	"repro/internal/spectral"
 )
 
@@ -161,55 +163,25 @@ type Convergence struct {
 	Sufficient bool
 }
 
-// CheckConvergence evaluates both the exact (Lemma 8) and the
-// norm-based sufficient (Lemma 9) convergence criteria.
+// CheckConvergence evaluates both the exact (Lemma 8, block by block, so
+// Hˆ must be symmetric) and the norm-based sufficient (Lemma 9) criteria.
 func CheckConvergence(g *graph.Graph, h *dense.Matrix, echo bool) (*Convergence, error) {
-	a := g.Adjacency()
-	c := &Convergence{}
-
-	// ‖A‖_M and ‖D‖_M over the norm set {Frobenius, induced-1, induced-∞}.
-	normA := minNormCSR(a)
-	hn := h.MinNorm()
-	c.HNorm = hn
-	if echo {
-		d := g.WeightedDegrees()
-		op := spectral.NewLinBPOp(a, d, h, true)
-		rho, err := spectral.Radius(op, spectral.Options{MaxIter: 5000})
-		if err != nil && !errors.Is(err, spectral.ErrNoConverge) {
+	lambdas, err := couplingSpectrum(h)
+	if err != nil {
+		return nil, err
+	}
+	m := newLemma8(g, echo)
+	c := &Convergence{HNorm: h.MinNorm(), NormBound: m.normBound}
+	for _, lambda := range lambdas {
+		m.lz.Reset()
+		rho, _, err := m.radius(lambda)
+		if err != nil {
 			return nil, err
 		}
-		c.SpectralRadius = rho
-		// ‖D‖: D is diagonal, so all three norms equal max degree.
-		maxD := 0.0
-		for _, v := range d {
-			if v > maxD {
-				maxD = v
-			}
-		}
-		if maxD == 0 {
-			// No edges: iteration is trivially convergent.
-			c.NormBound = math.Inf(1)
-		} else {
-			c.NormBound = (math.Sqrt(normA*normA+4*maxD) - normA) / (2 * maxD)
-		}
-	} else {
-		rhoA, err := spectral.RadiusCSR(a, spectral.Options{MaxIter: 5000})
-		if err != nil && !errors.Is(err, spectral.ErrNoConverge) {
-			return nil, err
-		}
-		rhoH, err := spectral.RadiusDense(h, spectral.Options{MaxIter: 5000})
-		if err != nil && !errors.Is(err, spectral.ErrNoConverge) {
-			return nil, err
-		}
-		c.SpectralRadius = rhoA * rhoH
-		if normA == 0 {
-			c.NormBound = math.Inf(1)
-		} else {
-			c.NormBound = 1 / normA
-		}
+		c.SpectralRadius = math.Max(c.SpectralRadius, rho)
 	}
 	c.Exact = c.SpectralRadius < 1
-	c.Sufficient = hn < c.NormBound
+	c.Sufficient = c.HNorm < c.NormBound
 	return c, nil
 }
 
@@ -227,67 +199,156 @@ func SimpleNormBound(g *graph.Graph) float64 {
 
 // MaxEpsilonH returns the largest εH for which the chosen criterion
 // guarantees convergence with Hˆ = εH·ho: the exact spectral criterion
-// (found by bisection) or the closed-form norm bound.
+// (see ExactThreshold) or the closed-form norm bound.
 func MaxEpsilonH(g *graph.Graph, ho *dense.Matrix, echo bool, exact bool) (float64, error) {
-	if !exact {
-		c, err := CheckConvergence(g, ho, echo)
-		if err != nil {
-			return 0, err
+	if exact {
+		eps, _, err := ExactThreshold(g, ho, echo)
+		return eps, err
+	}
+	// The norm bound does not depend on Hˆ, so εH < bound/‖Hˆo‖.
+	return newLemma8(g, echo).normBound / ho.MinNorm(), nil
+}
+
+// ExactThreshold is MaxEpsilonH's exact branch, also reporting the
+// n-dimensional operator applications spent. ho must be symmetric (or
+// the error wraps ErrInvalidCoupling). A block's radius depends on its λ
+// only through s = εH·λ, so per sign of s the largest |λ| crosses first.
+func ExactThreshold(g *graph.Graph, ho *dense.Matrix, echo bool) (eps float64, matvecs int, err error) {
+	lambdas, err := couplingSpectrum(ho)
+	if err != nil {
+		return 0, 0, err
+	}
+	m := newLemma8(g, echo)
+	first, second := slices.Max(append(lambdas, 0)), slices.Min(append(lambdas, 0))
+	if -second > first {
+		first, second = second, first
+	}
+	eps = math.Inf(1)
+	for _, lambda := range []float64{first, second} {
+		if lambda != 0 && !math.IsInf(m.normBound, 1) {
+			e, err := m.crossing(lambda, eps)
+			if err != nil {
+				return 0, m.lz.Matvecs, err
+			}
+			eps = math.Min(eps, e)
 		}
-		if math.IsInf(c.NormBound, 1) {
+	}
+	return eps, m.lz.Matvecs, nil
+}
+
+// lemma8 evaluates Lemma 8 block by block: for a symmetric Hˆ = QΛQᵀ,
+// (Q⊗I)ᵀ(Hˆ⊗A − Hˆ²⊗D)(Q⊗I) has the n×n diagonal blocks λᵢA − λᵢ²D (cf.
+// the Bethe Hessian of Saade, Krzakala & Zdeborová), so ρ is the largest
+// r(λᵢ), r(s) = ρ(sA − s²D), with D = 0 for LinBP*. As an Operator it
+// applies the block of s; one Lanczos value serves every evaluation.
+type lemma8 struct {
+	a         *sparse.CSR
+	d         []float64 // weighted degrees; zero for LinBP*
+	s         float64
+	normBound float64 // Lemma 9: r(s) ≤ |s|·‖A‖ + s²·‖D‖ < 1 for |s| below it
+	lz        spectral.Lanczos
+}
+
+func newLemma8(g *graph.Graph, echo bool) *lemma8 {
+	m := &lemma8{a: g.Adjacency()}
+	// ‖A‖ is the min over {Frobenius, induced-1, induced-∞}, and all three
+	// norms of the diagonal D are its max; +Inf without edges.
+	normA, maxD := minNormCSR(m.a), 0.0
+	if m.d = g.WeightedDegrees(); !echo {
+		m.d = make([]float64, len(m.d))
+	}
+	for _, v := range m.d {
+		maxD = math.Max(maxD, v)
+	}
+	m.normBound = 2 / (normA + math.Sqrt(normA*normA+4*maxD))
+	return m
+}
+
+func (m *lemma8) Dim() int { return m.a.Rows() }
+
+// Apply implements spectral.Operator: dst = s·A·src − s²·D∘src.
+func (m *lemma8) Apply(dst, src []float64) {
+	m.a.MulVecInto(dst, src)
+	for i, v := range dst {
+		dst[i] = m.s*v - m.s*m.s*m.d[i]*src[i]
+	}
+}
+
+// radius returns r(s) and dr/dt for t = |s|. For the dominant Ritz pair
+// (θ, x), Hellmann–Feynman gives dθ/dt = xᵀ(±A − 2tD)x, which the Ritz
+// relation θ = xᵀ(sA − s²D)x turns into θ/t − t·xᵀDx.
+func (m *lemma8) radius(s float64) (r, slope float64, err error) {
+	m.s = s
+	lo, hi, err := m.lz.Extremes(m)
+	if err != nil {
+		return 0, 0, err
+	}
+	theta, x := hi, m.lz.MaxVec()
+	if -lo > hi {
+		theta, x = lo, m.lz.MinVec()
+	}
+	t, xdx := math.Abs(s), 0.0
+	for i, v := range m.d {
+		xdx += v * x[i] * x[i]
+	}
+	return math.Abs(theta), math.Copysign(1, theta) * (theta/t - t*xdx), nil
+}
+
+// crossing returns the εH where r(εH·λ) crosses 1 (+Inf beyond 1e6) by
+// safeguarded Newton steps in a bracket with r(lo·λ) < 1 ≤ r(hi·λ), the
+// crossing semantics of a bisection, from Lemma 9's bound, or from another
+// block's threshold below, returning +Inf at once if r < 1 there. Steps
+// warm-start Lanczos from the last; a warm start can miss an eigenvector
+// and understate ρ (Ritz values never overstate it), so only cold
+// evaluations move lo and a settled root needs a cold confirmation.
+func (m *lemma8) crossing(lambda, below float64) (float64, error) {
+	t, lo, hi := math.Abs(lambda), 0.0, math.Inf(1)
+	eps := m.normBound / t
+	if !math.IsInf(below, 1) {
+		eps = below
+	}
+	for step, cold := 0, true; step < 100; step++ {
+		if cold {
+			m.lz.Reset()
+		}
+		r, slope, err := m.radius(eps * lambda)
+		switch {
+		case err != nil:
+			return 0, err
+		case r >= 1:
+			hi = eps
+		case step == 0 && eps == below:
+			return math.Inf(1), nil
+		case cold:
+			lo = eps
+		}
+		next := eps + (1-r)/(slope*t)
+		settled := math.Abs(next-eps) <= 1e-10*eps
+		if settled && cold {
+			return next, nil
+		}
+		if !settled && !(next > lo && next < hi) { // Newton left the bracket
+			next = math.Min(2*eps, (lo+hi)/2)
+		}
+		if next > 1e6 {
 			return math.Inf(1), nil
 		}
-		// ‖εH·Hˆo‖ = εH·‖Hˆo‖ < bound(A, D) — but for LinBP the bound
-		// itself does not depend on Hˆ, so εH < bound/‖Hˆo‖.
-		return c.NormBound / ho.MinNorm(), nil
+		cold, eps = settled, next
 	}
-	if !echo {
-		// ρ(εH·Hˆo)·ρ(A) < 1 is linear in εH.
-		c, err := CheckConvergence(g, ho, false)
-		if err != nil {
-			return 0, err
-		}
-		if c.SpectralRadius == 0 {
-			return math.Inf(1), nil
-		}
-		return 1 / c.SpectralRadius, nil
+	return 0, fmt.Errorf("linbp: Lemma 8 threshold search for λ=%g did not settle: %w", lambda, errs.ErrNotConverged)
+}
+
+// couplingSpectrum returns the distinct, non-negligible eigenvalues of
+// the symmetric coupling matrix h in ascending order.
+func couplingSpectrum(h *dense.Matrix) ([]float64, error) {
+	if h.MaxAbsDiff(h.T()) > 1e-9*h.MaxAbs() {
+		return nil, fmt.Errorf("linbp: the exact criterion needs a symmetric Hˆ: %w", coupling.ErrNotSymmetric)
 	}
-	// LinBP with echo: ρ(εHˆo⊗A − ε²Hˆo²⊗D) crosses 1 monotonically in
-	// ε > 0; locate the crossing by bracketed bisection.
-	radius := func(eps float64) (float64, error) {
-		c, err := CheckConvergence(g, ho.Scaled(eps), true)
-		if err != nil {
-			return 0, err
-		}
-		return c.SpectralRadius, nil
-	}
-	lo, hi := 0.0, 1.0
-	for iter := 0; iter < 60; iter++ {
-		r, err := radius(hi)
-		if err != nil {
-			return 0, err
-		}
-		if r >= 1 {
-			break
-		}
-		lo, hi = hi, hi*2
-		if hi > 1e6 {
-			return math.Inf(1), nil
-		}
-	}
-	for iter := 0; iter < 60; iter++ {
-		mid := (lo + hi) / 2
-		r, err := radius(mid)
-		if err != nil {
-			return 0, err
-		}
-		if r < 1 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, nil
+	vals := h.SymEigenvalues()
+	slices.Sort(vals)
+	tol := 1e-12 * h.MaxAbs()
+	vals = slices.DeleteFunc(vals, func(v float64) bool { return math.Abs(v) <= tol })
+	return slices.CompactFunc(vals, func(a, b float64) bool { return math.Abs(a-b) <= tol }), nil
 }
 
 // minNormCSR is min(Frobenius, induced-1, induced-∞) for a CSR matrix.

@@ -1,17 +1,10 @@
 // Package spectral estimates spectral radii by power iteration, both for
-// explicit matrices (dense and CSR) and for implicit linear operators.
-//
-// The paper's exact convergence criteria (Lemma 8) require
-//
-//	ρ(Hˆ⊗A − Hˆ²⊗D) < 1        (LinBP)
-//	ρ(Hˆ)·ρ(A) < 1             (LinBP*)
-//
-// Materializing the nk×nk Kronecker matrix would be wasteful; instead the
-// LinBP update operator is applied implicitly as B ↦ A·B·Hˆ − D·B·Hˆ²
-// (Roth's column lemma), and the power method runs on n×k "matrices"
-// flattened to vectors. All operators used in the reproduction are either
-// symmetric or elementwise non-negative, so the power method converges to
-// the spectral radius.
+// explicit matrices (dense and CSR) and for implicit linear operators,
+// and the extreme eigenpairs of symmetric operators by Lanczos, which
+// package linbp uses to evaluate the exact convergence criteria of
+// Lemma 8 block by block. All operators used in the reproduction are
+// either symmetric or elementwise non-negative, so the power method
+// converges to the spectral radius.
 package spectral
 
 import (
@@ -19,7 +12,6 @@ import (
 	"math"
 
 	"repro/internal/dense"
-	"repro/internal/kernel"
 	"repro/internal/sparse"
 	"repro/internal/xrand"
 )
@@ -141,49 +133,3 @@ func RadiusCSR(m *sparse.CSR, opts Options) (float64, error) {
 func RadiusDense(m *dense.Matrix, opts Options) (float64, error) {
 	return Radius(DenseOp{m}, opts)
 }
-
-// LinBPOp is the implicit LinBP update operator of Lemma 8,
-//
-//	vec(B) ↦ (Hˆ⊗A − Hˆ²⊗D)·vec(B)  ≡  A·B·Hˆ − D·B·Hˆ²,
-//
-// acting on n×k matrices flattened row-major (node-major). Setting
-// EchoCancellation to false yields the LinBP* operator Hˆ⊗A.
-//
-// The operator delegates to the fused compute engine of package
-// kernel, so the convergence criteria evaluate exactly the update the
-// iterative solver executes — one implementation, no drift.
-type LinBPOp struct {
-	A                *sparse.CSR   // n×n symmetric adjacency
-	D                []float64     // weighted degrees (Σ w², Section 5.2)
-	H                *dense.Matrix // k×k residual coupling matrix Hˆ
-	EchoCancellation bool
-
-	eng *kernel.Engine
-}
-
-// NewLinBPOp builds the update operator for adjacency a, degrees d, and
-// residual coupling h. If echo is true the −D·B·Hˆ² term is included
-// (LinBP); otherwise the operator is the LinBP* one.
-func NewLinBPOp(a *sparse.CSR, d []float64, h *dense.Matrix, echo bool) *LinBPOp {
-	if a.Rows() != a.Cols() {
-		panic("spectral: adjacency must be square")
-	}
-	if echo && len(d) != a.Rows() {
-		panic("spectral: degree vector length mismatch")
-	}
-	var kd []float64
-	if echo {
-		kd = d
-	}
-	eng, err := kernel.New(kernel.Config{A: a, D: kd, H: h}, nil)
-	if err != nil {
-		panic("spectral: " + err.Error())
-	}
-	return &LinBPOp{A: a, D: d, H: h, EchoCancellation: echo, eng: eng}
-}
-
-// Dim implements Operator: n·k.
-func (o *LinBPOp) Dim() int { return o.A.Rows() * o.H.Rows() }
-
-// Apply implements Operator via the engine's fused bare-operator pass.
-func (o *LinBPOp) Apply(dst, src []float64) { o.eng.ApplyInto(dst, src) }

@@ -184,6 +184,16 @@ func TestAutoEpsilonHFacade(t *testing.T) {
 	}
 }
 
+// TestMaxEpsilonHRejectsAsymmetricCoupling: the exact criterion is
+// evaluated block by block over Hˆo's eigendecomposition, which needs a
+// symmetric Hˆo.
+func TestMaxEpsilonHRejectsAsymmetricCoupling(t *testing.T) {
+	ho := lsbp.NewMatrix([][]float64{{0.2, -0.1, -0.1}, {-0.2, 0.1, 0.1}, {0, 0, 0}})
+	if _, err := lsbp.MaxEpsilonH(lsbp.TorusGraph(), ho, true, true); !errors.Is(err, lsbp.ErrInvalidCoupling) {
+		t.Fatalf("err = %v, want ErrInvalidCoupling", err)
+	}
+}
+
 func TestSeedBeliefsFacade(t *testing.T) {
 	e, nodes := lsbp.SeedBeliefs(100, 3, lsbp.SeedConfig{Fraction: 0.05, Seed: 1})
 	if len(nodes) != 5 || len(e.ExplicitNodes()) != 5 {

@@ -12,9 +12,6 @@ package lsbp_test
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
-	"sync"
 	"testing"
 
 	"repro/internal/beliefs"
@@ -42,38 +39,15 @@ func residualBenchDelta(n, count int, seed uint64) []graph.Edge {
 
 // residualBenchEps derives the auto εH (half the exact Lemma 8
 // threshold, the paper's Section 7 recommendation — the realistic
-// convergence regime ρ ≈ 0.5) once per process and caches it: the
-// spectral-radius derivation costs minutes at power 11, so the
-// schedule sub-benchmarks share one derivation and prepare with the
-// explicit value. Set LSBP_BENCH_RESIDUAL_EPS to skip the derivation
-// on repeat runs (the derived value is deterministic per power).
-var residualEps struct {
-	once sync.Once
-	val  float64
-	err  error
-}
-
+// convergence regime ρ ≈ 0.5) with a WithAutoEpsilonH Prepare.
 func residualBenchEps(b *testing.B, g *graph.Graph, e *beliefs.Residual) float64 {
-	residualEps.once.Do(func() {
-		if s := os.Getenv("LSBP_BENCH_RESIDUAL_EPS"); s != "" {
-			if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-				residualEps.val = v
-				return
-			}
-		}
-		p := &core.Problem{Graph: g, Explicit: e, Ho: coupling.Fig6bResidual(), EpsilonH: 0.001}
-		s, err := core.Prepare(p, core.MethodLinBP, core.WithAutoEpsilonH())
-		if err != nil {
-			residualEps.err = err
-			return
-		}
-		residualEps.val = s.Stats().EpsilonH
-		s.Close()
-	})
-	if residualEps.err != nil {
-		b.Fatal(residualEps.err)
+	p := &core.Problem{Graph: g, Explicit: e, Ho: coupling.Fig6bResidual(), EpsilonH: 0.001}
+	s, err := core.Prepare(p, core.MethodLinBP, core.WithAutoEpsilonH())
+	if err != nil {
+		b.Fatal(err)
 	}
-	return residualEps.val
+	defer s.Close()
+	return s.Stats().EpsilonH
 }
 
 // benchResidualUpdate is the shared measurement loop: one full Update
