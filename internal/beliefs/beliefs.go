@@ -205,7 +205,12 @@ const TieFloor = 1e-13
 // geometrically), and an absolute tie threshold would spuriously tie
 // all their classes. For an all-zero row every class ties.
 func (r *Residual) Top(s int, tolerance float64) []int {
-	row := r.m.Row(s)
+	return appendTop(nil, r.m.Row(s), tolerance)
+}
+
+// topFloor returns the belief a class of row must reach to tie for the
+// top: the row maximum less the tolerance slack.
+func topFloor(row []float64, tolerance float64) float64 {
 	max := math.Inf(-1)
 	scale := 0.0
 	for _, v := range row {
@@ -216,21 +221,42 @@ func (r *Residual) Top(s int, tolerance float64) []int {
 			scale = a
 		}
 	}
-	slack := tolerance*scale + TieFloor
-	var out []int
+	return max - (tolerance*scale + TieFloor)
+}
+
+// appendTop appends the top classes of row to dst.
+func appendTop(dst []int, row []float64, tolerance float64) []int {
+	floor := topFloor(row, tolerance)
 	for c, v := range row {
-		if v >= max-slack {
-			out = append(out, c)
+		if v >= floor {
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // TopAssignment returns Top for every node with the default tolerance.
+// A counting pass sizes one flat backing array, so the whole assignment
+// costs two allocations; each row is capped at its length, so appending
+// to one never writes into the next.
 func (r *Residual) TopAssignment() [][]int {
-	out := make([][]int, r.N())
+	n := r.N()
+	total := 0
+	for s := 0; s < n; s++ {
+		row := r.m.Row(s)
+		floor := topFloor(row, TopTolerance)
+		for _, v := range row {
+			if v >= floor {
+				total++
+			}
+		}
+	}
+	flat := make([]int, 0, total)
+	out := make([][]int, n)
 	for s := range out {
-		out[s] = r.Top(s, TopTolerance)
+		lo := len(flat)
+		flat = appendTop(flat, r.m.Row(s), TopTolerance)
+		out[s] = flat[lo:len(flat):len(flat)]
 	}
 	return out
 }

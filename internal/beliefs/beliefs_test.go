@@ -2,6 +2,7 @@ package beliefs
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -202,6 +203,30 @@ func TestTopAssignmentShape(t *testing.T) {
 	}
 	if len(ta[1]) != 1 || ta[1][0] != 0 {
 		t.Fatalf("ta[1] = %v", ta[1])
+	}
+}
+
+// TestTopAssignmentMatchesTopInTwoAllocs: the flat-backed assignment
+// equals Top row by row (ties and all-zero rows included), costs two
+// allocations whatever n is, and caps every row so an append to one
+// never writes into the next.
+func TestTopAssignmentMatchesTopInTwoAllocs(t *testing.T) {
+	r, _ := Seed(300, 3, SeedConfig{Fraction: 0.3, Seed: 5})
+	r.Set(0, []float64{0.1, 0.1, -0.2}) // a tie
+	ta := r.TopAssignment()
+	for s := range ta {
+		want := r.Top(s, TopTolerance)
+		if !slices.Equal(ta[s], want) {
+			t.Fatalf("row %d: TopAssignment %v, Top %v", s, ta[s], want)
+		}
+	}
+	next := slices.Clone(ta[1])
+	_ = append(ta[0], 9)
+	if !slices.Equal(ta[1], next) {
+		t.Fatalf("appending to row 0 changed row 1: %v, was %v", ta[1], next)
+	}
+	if a := testing.AllocsPerRun(5, func() { r.TopAssignment() }); a != 2 {
+		t.Fatalf("TopAssignment allocates %v times, want 2", a)
 	}
 }
 

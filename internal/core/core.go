@@ -236,5 +236,5 @@ func AutoEpsilonH(g *graph.Graph, ho *dense.Matrix, m Method) (float64, error) {
 	if m != MethodLinBP && m != MethodLinBPStar {
 		return 0, fmt.Errorf("core: AutoEpsilonH applies to LinBP/LinBP*, not %v: %w", m, errs.ErrInvalidInput)
 	}
-	return autoEpsilon(g, ho, m == MethodLinBP)
+	return autoEpsilon(g.Adjacency(), ho, m == MethodLinBP)
 }

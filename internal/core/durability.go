@@ -297,6 +297,9 @@ func OpenFS(fsys durable.FS, dir string, opts ...Option) (Solver, error) {
 		return nil, err
 	}
 	if err := d.recoverLocked(snap); err != nil {
+		// A replayed commit may have retired the epoch that reads the
+		// mapped arrays; let it close before they are unmapped.
+		d.retiring.Wait()
 		d.dur.close()
 		snap.Close() // idempotent if the recovery already owned it
 		d.cur.Load().snap.Close()
@@ -381,27 +384,8 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 		method: m, n: n, k: k, workers: cfg.workers, eps: snap.EpsH,
 		ordering: ordering, bandBefore: snap.BandBefore, bandAfter: snap.BandAfter,
 	}
-	// Reconstruct the caller-order graph the dynamic plane maintains:
-	// for kernel methods the stored CSR is layout-ordered, so undo the
-	// permutation first. Parallel edges were already collapsed by the
-	// original adjacency build; the sum-equivalent graph serves every
-	// later rebuild identically.
-	adj := a
-	if !snap.GraphOrder && perm != nil {
-		adj = a.Permute([]int(perm.Inverse()))
-	}
-	g := graph.New(n)
-	g.ReserveEdges((adj.NNZ() + n) / 2)
-	rp, ci, vs := adj.Index()
-	for i := 0; i < n; i++ {
-		for p := rp[i]; p < rp[i+1]; p++ {
-			if j := int(ci[p]); j >= i {
-				g.AddEdge(i, j, vs[p])
-			}
-		}
-	}
-
 	var inner snapshot
+	var g *graph.Graph // BP and SBP only: the kernel methods keep no graph
 	switch m {
 	case MethodLinBP, MethodLinBPStar, MethodFABP:
 		if snap.GraphOrder {
@@ -416,10 +400,13 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 			lay.d = a.RowSumsSquared()
 		}
 		inner, err = newLinBPSolverOn(kc, info, cfg, lay)
-	case MethodBP:
-		inner, err = newBPSolverOn(g.Clone(), ho, info, cfg, perm)
-	default: // MethodSBP
-		inner, err = newSBPSolverOn(g.Clone(), ho, info, perm)
+	default: // MethodBP, MethodSBP
+		g = callerGraph(a, perm, snap.GraphOrder)
+		if m == MethodBP {
+			inner, err = newBPSolverOn(g.Clone(), ho, info, cfg, perm)
+		} else {
+			inner, err = newSBPSolverOn(g.Clone(), ho, info, perm)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -434,6 +421,29 @@ func rebuildFromSnapshot(snap *durable.Snapshot, fsys durable.FS, dir string, op
 	d.cur.Store(&epochState{snap: inner})
 	d.dur = &durability{fs: fsys, dir: dir, pol: cfg.durPol, seq: snap.WALSeq, release: nil}
 	return d, nil
+}
+
+// callerGraph reconstructs the caller-order graph BP and SBP maintain
+// from a stored adjacency, undoing the layout permutation unless the
+// image is already in caller order. Parallel edges were already
+// collapsed by the original adjacency build; the sum-equivalent graph
+// serves every later rebuild identically.
+func callerGraph(a *sparse.CSR, perm order.Permutation, callerOrder bool) *graph.Graph {
+	if !callerOrder && perm != nil {
+		a = a.Permute([]int(perm.Inverse()))
+	}
+	n := a.Rows()
+	g := graph.New(n)
+	g.ReserveEdges((a.NNZ() + n) / 2)
+	rp, ci, vs := a.Index()
+	for i := 0; i < n; i++ {
+		for p := rp[i]; p < rp[i+1]; p++ {
+			if j := int(ci[p]); j >= i {
+				g.AddEdge(i, j, vs[p])
+			}
+		}
+	}
+	return g
 }
 
 // narrowIndex converts a wide (i64) snapshot index section to the

@@ -31,19 +31,41 @@ func applyMirror(m *Problem, u Update) {
 // TestDurableOpenMatchesFreshPrepare walks every method through
 // Prepare-with-durability, a short update stream, an orderly Close,
 // and an Open — pinning the recovered fixpoint to a fresh Prepare on
-// the mirrored problem.
+// the mirrored problem. The autoeps-compact cases run an RCM layout
+// under WithAutoEpsilonH and open with a compaction on every commit, so
+// the replay commit and the next update both compact on the recovered
+// solver — deriving the caller-order matrix from the overlay alone —
+// and must land on a fresh auto-εH Prepare's εH and fixpoint.
 func TestDurableOpenMatchesFreshPrepare(t *testing.T) {
 	const tol = 1e-12
+	type durCase struct {
+		name string
+		m    Method
+		auto bool // WithAutoEpsilonH everywhere, compaction on every commit after Open
+	}
+	var cases []durCase
 	for _, m := range []Method{MethodLinBP, MethodLinBPStar, MethodFABP, MethodBP, MethodSBP} {
-		t.Run(m.String(), func(t *testing.T) {
+		cases = append(cases, durCase{m.String(), m, false})
+	}
+	for _, m := range []Method{MethodLinBP, MethodLinBPStar, MethodFABP} {
+		cases = append(cases, durCase{m.String() + "/autoeps-compact", m, true})
+	}
+	for _, tc := range cases {
+		m := tc.m
+		t.Run(tc.name, func(t *testing.T) {
 			k := 3
 			if m == MethodFABP {
 				k = 2
 			}
 			p := randomProblem(t, 70, 150, k, 0.05, 29)
 			mirror := &Problem{Graph: p.Graph.Clone(), Explicit: p.Explicit.Clone(), Ho: p.Ho, EpsilonH: p.EpsilonH}
+			ref, open := durTight, durTight
+			if tc.auto {
+				ref = append([]Option{WithAutoEpsilonH(), WithReordering(ReorderRCM)}, durTight...)
+				open = append([]Option{WithUpdatePolicy(UpdatePolicy{CompactionRatio: 1e-12})}, ref...)
+			}
 			fs := durable.NewMemFS()
-			opts := append([]Option{WithDurabilityFS(fs, "state", DurabilityPolicy{Sync: SyncAlways})}, durTight...)
+			opts := append([]Option{WithDurabilityFS(fs, "state", DurabilityPolicy{Sync: SyncAlways})}, ref...)
 			s, err := Prepare(p, m, opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -68,7 +90,7 @@ func TestDurableOpenMatchesFreshPrepare(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			r, err := OpenFS(fs, "state", durTight...)
+			r, err := OpenFS(fs, "state", open...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +102,7 @@ func TestDurableOpenMatchesFreshPrepare(t *testing.T) {
 			if err != nil && !errors.Is(err, ErrNotConverged) {
 				t.Fatal(err)
 			}
-			want := freshSolve(t, mirror, m, mirror.Explicit, durTight...)
+			want := freshSolve(t, mirror, m, mirror.Explicit, ref...)
 			refTol := tol
 			if m == MethodBP {
 				refTol = 1e-9 // BP's fixpoint tolerance matches the dynamic-plane tests
@@ -95,8 +117,22 @@ func TestDurableOpenMatchesFreshPrepare(t *testing.T) {
 				t.Fatal(err)
 			}
 			applyMirror(mirror, u)
-			if d := maxAbsDiff(res.Beliefs, freshSolve(t, mirror, m, mirror.Explicit, durTight...)); d > refTol {
+			if d := maxAbsDiff(res.Beliefs, freshSolve(t, mirror, m, mirror.Explicit, ref...)); d > refTol {
 				t.Errorf("post-recovery update diverges by %g", d)
+			}
+			if tc.auto {
+				st := r.Stats()
+				if st.Rebuilds == 0 {
+					t.Fatal("no compaction ran on the recovered solver")
+				}
+				fresh, err := Prepare(mirror, m, ref...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fresh.Close()
+				if got, want := st.EpsilonH, fresh.Stats().EpsilonH; math.Abs(got-want) > 1e-12 {
+					t.Errorf("recovered compaction εH = %g, fresh Prepare derives %g", got, want)
+				}
 			}
 		})
 	}

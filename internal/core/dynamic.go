@@ -9,14 +9,21 @@
 //     tombstones). Committing a topology update materializes the merged
 //     adjacency by one merged-row pass — no COO rebuild, no reordering
 //     recompute — and builds a fresh snapshot on it, reusing the
-//     prepare-time permutation.
+//     prepare-time permutation. The overlay is the kernel methods' only
+//     copy of the topology; BP and SBP, whose snapshots are built from a
+//     graph, also maintain a caller-order graph.
 //   - The snapshot swap is RCU-style: the current-epoch pointer is
 //     swapped atomically, solves already in flight drain on the old
-//     snapshot (its Close waits for them), and new solves land on the
-//     new one. A reader that loses the race — loads the old pointer
-//     just as it retires — observes the old snapshot's ErrClosed and
-//     transparently retries on the current epoch, so no caller ever
-//     sees a torn graph or a spurious closed error.
+//     snapshot, and new solves land on the new one. The commit does not
+//     wait for the drain: it hands the old epoch to a closer goroutine
+//     (retire), so a retired epoch lives until its last in-flight solve
+//     ends, then closes and folds the counters that solve landed. Close
+//     waits for every retiring epoch before it releases the durable
+//     half, whose mapped arrays a recovered epoch may still read. A
+//     reader that loses the race — loads the old pointer just as it
+//     retires — observes the old snapshot's ErrClosed and transparently
+//     retries on the current epoch, so no caller ever sees a torn graph
+//     or a spurious closed error.
 //   - Workspaces are pooled per epoch (each snapshot owns its
 //     statePools); retiring an epoch closes its pools and folds its
 //     counters into the solver-lifetime accumulator, and the kernel's
@@ -29,7 +36,9 @@
 //   - When the overlay's delta-cell count crosses
 //     UpdatePolicy.CompactionRatio × base nnz, the commit becomes a
 //     compaction rebuild: the reordering strategy replays on the
-//     merged graph and the overlay rebases onto the fresh layout.
+//     merged caller-order adjacency (for the kernel methods, the merged
+//     overlay with the layout permutation undone) and the overlay
+//     rebases onto the fresh layout.
 //
 // Convergence caveat: εH (including a WithAutoEpsilonH derivation) is
 // fixed at preparation time. Edge insertions raise the spectral radius
@@ -125,15 +134,16 @@ type dynSolver struct {
 	cur atomic.Pointer[epochState]
 
 	// Everything below mu is the updater's private state: the
-	// caller-order graph and maintained beliefs (lazily cloned on the
-	// first Update so purely static solvers pay nothing), the overlay
-	// and layout the kernel snapshots rebuild from, and the compaction
-	// bookkeeping.
+	// maintained beliefs and, for BP and SBP, the caller-order graph
+	// (lazily cloned on the first Update so purely static solvers pay
+	// nothing), the overlay and layout the kernel snapshots rebuild from
+	// (the kernel methods keep no graph: the overlay holds their
+	// topology), and the compaction bookkeeping.
 	mu         sync.Mutex
 	closed     bool
-	srcGraph   *graph.Graph
+	srcGraph   *graph.Graph // BP and SBP only
 	srcExp     *beliefs.Residual
-	g          *graph.Graph      // current caller-order graph (private clone)
+	g          *graph.Graph      // current caller-order graph (BP and SBP; private clone)
 	exp        *beliefs.Residual // maintained explicit beliefs
 	last       *beliefs.Residual // previous fixpoint (warm-start seed)
 	layoutA    *sparse.CSR       // prepare-time layout CSR (kernel methods)
@@ -165,6 +175,10 @@ type dynSolver struct {
 	// dur is the durable half (snapshot + WAL); nil without
 	// WithDurability.
 	dur *durability
+	// retiring counts the retired epochs whose closers still wait for
+	// their in-flight solves to drain; Close waits for them before it
+	// releases the durable half.
+	retiring sync.WaitGroup
 
 	// Stats counters, read without mu by Stats().
 	//
@@ -187,14 +201,14 @@ type dynSolver struct {
 // are lifted off the concrete snapshot types so rebuilds can reuse
 // them without re-deriving anything from the problem.
 func newDynSolver(p *Problem, m Method, cfg config, inner snapshot) *dynSolver {
-	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcGraph: p.Graph, srcExp: p.Explicit}
+	d := &dynSolver{method: m, cfg: cfg, ho: p.Ho, srcExp: p.Explicit}
 	switch s := inner.(type) {
 	case *linbpSolver:
 		d.info, d.perm, d.layoutA = s.solverInfo, s.perm, s.a
 	case *bpSolver:
-		d.info, d.perm = s.solverInfo, s.perm
+		d.info, d.perm, d.srcGraph = s.solverInfo, s.perm, p.Graph
 	case *sbpSolver:
-		d.info, d.perm = s.solverInfo, s.perm
+		d.info, d.perm, d.srcGraph = s.solverInfo, s.perm, p.Graph
 	}
 	d.n, d.k, d.eps = d.info.n, d.info.k, d.info.eps
 	d.cur.Store(&epochState{snap: inner})
@@ -292,6 +306,15 @@ func (d *dynSolver) foldRetiredLocked(st SolverStats) {
 	}
 }
 
+// retire closes a retired epoch once its in-flight solves drain and
+// folds the counter bumps they landed after the swap. It runs on its
+// own goroutine, so a commit never waits for a reader.
+func (d *dynSolver) retire(s snapshot, pre SolverStats) {
+	defer d.retiring.Done()
+	s.Close()
+	d.foldRetired(statsDelta(s.Stats(), pre))
+}
+
 // statsDelta returns the counter fields of post minus pre — the bumps
 // in-flight solves landed on a retiring epoch while it drained.
 func statsDelta(post, pre SolverStats) SolverStats {
@@ -310,8 +333,8 @@ func statsDelta(post, pre SolverStats) SolverStats {
 }
 
 // Close drains and closes the current epoch after any in-flight Update
-// (including its compaction rebuild) finishes; retired epochs were
-// already closed at their swap. Idempotent.
+// (including its compaction rebuild) finishes, then waits for every
+// retired epoch still draining. Idempotent.
 func (d *dynSolver) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -320,9 +343,11 @@ func (d *dynSolver) Close() error {
 	}
 	d.closed = true
 	err := d.cur.Load().snap.Close()
+	d.retiring.Wait()
 	if d.dur != nil {
-		// After the epoch drains nothing reads the mapped snapshot
-		// arrays; flush and release the durable half last.
+		// After every epoch drains nothing reads the mapped snapshot
+		// arrays (a recovered epoch may still serve from them until its
+		// last solve ends); flush and release the durable half last.
 		if derr := d.dur.close(); err == nil {
 			err = derr
 		}
@@ -435,40 +460,43 @@ func (d *dynSolver) collectTouched(u Update) []int {
 	return t
 }
 
-// applyTopologyLocked folds the batch's edge delta into the
-// maintained graph and overlay, reporting whether the structure
-// actually changed. Removals of absent pairs are no-ops; a batch with
-// no net structural change skips the snapshot rebuild entirely (an
-// idempotent delete stream must not pay an O(nnz) epoch per call).
+// applyTopologyLocked folds the batch's edge delta into the overlay
+// (kernel methods) or the maintained graph (BP, SBP), reporting whether
+// the structure actually changed. Removals of absent pairs are no-ops;
+// a batch with no net structural change skips the snapshot rebuild
+// entirely (an idempotent delete stream must not pay an O(nnz) epoch
+// per call).
 func (d *dynSolver) applyTopologyLocked(u Update) bool {
 	if len(u.AddEdges) == 0 && len(u.RemoveEdges) == 0 {
 		return false
 	}
-	for _, e := range u.AddEdges {
-		d.g.AddEdge(e.S, e.T, e.W)
-	}
-	removed := d.g.RemoveEdges(u.RemoveEdges)
-	changed := len(u.AddEdges) > 0 || removed > 0
-	if d.overlay != nil {
+	if d.overlay == nil {
 		for _, e := range u.AddEdges {
-			i, j := d.pm(e.S), d.pm(e.T)
-			d.overlay.Add(i, j, e.W)
-			if i != j {
-				d.overlay.Add(j, i, e.W)
-			}
+			d.g.AddEdge(e.S, e.T, e.W)
 		}
-		for _, e := range u.RemoveEdges {
-			i, j := d.pm(e.S), d.pm(e.T)
-			d.overlay.Remove(i, j)
-			if i != j {
-				d.overlay.Remove(j, i)
-			}
-		}
-		d.deltaCells = d.overlay.DeltaNNZ()
-	} else if changed {
+		removed := d.g.RemoveEdges(u.RemoveEdges)
 		d.deltaCells += 2*len(u.AddEdges) + removed
+		return len(u.AddEdges) > 0 || removed > 0
 	}
-	return changed
+	for _, e := range u.AddEdges {
+		i, j := d.pm(e.S), d.pm(e.T)
+		d.overlay.Add(i, j, e.W)
+		if i != j {
+			d.overlay.Add(j, i, e.W)
+		}
+	}
+	removed := false
+	for _, e := range u.RemoveEdges {
+		i, j := d.pm(e.S), d.pm(e.T)
+		if d.overlay.Remove(i, j) {
+			removed = true
+		}
+		if i != j {
+			d.overlay.Remove(j, i)
+		}
+	}
+	d.deltaCells = d.overlay.DeltaNNZ()
+	return len(u.AddEdges) > 0 || removed
 }
 
 // pm maps a caller node id into the current layout order.
@@ -507,22 +535,37 @@ func (d *dynSolver) validateUpdate(u Update) error {
 	return nil
 }
 
-// initDynState lazily clones the mutable dynamic state on the first
-// Update, so a solver that is never updated shares the caller's graph
-// and pays no copy.
+// initDynState lazily sets up the mutable dynamic state on the first
+// Update, so a solver that is never updated shares the caller's inputs
+// and pays no copy. The kernel methods start an overlay over the
+// layout CSR; BP and SBP clone the caller-order graph.
 func (d *dynSolver) initDynState() {
-	if d.g != nil {
+	if d.exp != nil {
 		return
 	}
-	d.g = d.srcGraph.Clone()
 	d.exp = d.srcExp.Clone()
 	switch d.method {
 	case MethodLinBP, MethodLinBPStar, MethodFABP:
 		d.overlay = sparse.NewOverlay(d.layoutA)
 		d.baseNNZ = d.layoutA.NNZ()
 	default:
+		d.g = d.srcGraph.Clone()
 		d.baseNNZ = d.srcGraph.Adjacency().NNZ()
 	}
+}
+
+// callerAdjacency returns the merged topology in caller order: the
+// graph's adjacency for BP and SBP; for the kernel methods the merged
+// overlay with the layout permutation undone.
+func (d *dynSolver) callerAdjacency() *sparse.CSR {
+	if d.overlay == nil {
+		return d.g.Adjacency()
+	}
+	a := d.overlay.Merge()
+	if d.perm != nil {
+		a = a.Permute(d.perm.Inverse())
+	}
+	return a
 }
 
 // compactionRatio resolves the policy threshold.
@@ -536,11 +579,12 @@ func (d *dynSolver) compactionRatio() float64 {
 // swapSnapshotLocked commits the accumulated topology delta: build the
 // next epoch's snapshot (merged overlay on the fast path, a full
 // layout replay when the compaction threshold is crossed), swap it in,
-// and retire the old epoch — its Close drains the in-flight solves,
-// after which its counters fold into the lifetime accumulator. The
-// context is re-checked between materialization and the pointer swap:
-// a cancelled Update returns without a half-committed epoch (the
-// delta stays accumulated and the next Update retries the swap).
+// and hand the old epoch to retire, which closes it once its in-flight
+// solves drain and then folds their counters into the lifetime
+// accumulator — the commit itself waits for no reader. The context is
+// re-checked between materialization and the pointer swap: a cancelled
+// Update returns without a half-committed epoch (the delta stays
+// accumulated and the next Update retries the swap).
 func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 	kernelMethod := d.overlay != nil
 	compact := float64(d.deltaCells) >= d.compactionRatio()*float64(d.baseNNZ)
@@ -549,16 +593,16 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 	var err error
 	switch {
 	case compact:
-		// Replay the layout optimizer on the merged graph, exactly as
-		// Prepare would.
-		a := d.g.Adjacency()
+		// Replay the layout optimizer on the merged caller-order
+		// adjacency, exactly as Prepare would.
+		a := d.callerAdjacency()
 		if d.cfg.autoEps && d.method != MethodSBP {
 			// Compaction already replays the layout on the merged graph;
 			// re-derive the auto εH there too, so a long insert-heavy
 			// stream recovers the spectral safety margin instead of
 			// serving the stale prepare-time scale. The new epoch's εH
 			// is what Stats().EpsilonH reports from here on.
-			eps, eerr := autoEpsilon(d.g, d.ho, d.method != MethodLinBPStar)
+			eps, eerr := autoEpsilon(a, d.ho, d.method != MethodLinBPStar)
 			if eerr != nil {
 				return fmt.Errorf("core: compaction auto-εH re-derivation: %w", eerr)
 			}
@@ -616,8 +660,8 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 	old := d.cur.Load()
 	// Fold the retiring epoch's counters in the same critical section
 	// as the pointer swap (see Stats), so the lifetime totals never dip
-	// while the old epoch drains; the bumps that land during the drain
-	// are folded as a delta once Close returns.
+	// while the old epoch drains; retire folds the bumps that land
+	// during the drain as a delta.
 	pre := old.snap.Stats()
 	d.statsMu.Lock()
 	d.cur.Store(&epochState{snap: snap})
@@ -625,8 +669,8 @@ func (d *dynSolver) swapSnapshotLocked(ctx context.Context) error {
 	d.statsMu.Unlock()
 	d.epochN.Add(1)
 	d.overlayNNZ.Store(int64(d.deltaCells))
-	old.snap.Close()
-	d.foldRetired(statsDelta(old.snap.Stats(), pre))
+	d.retiring.Add(1)
+	go d.retire(old.snap, pre)
 	if compact && d.dur != nil {
 		// A compaction rewrote the layout: publish a checkpoint and
 		// rotate the log so recovery replays from the fresh base. The

@@ -7,8 +7,12 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/beliefs"
+	"repro/internal/coupling"
+	"repro/internal/durable"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/xrand"
 )
@@ -526,5 +530,137 @@ func TestDynamicNoOpRemovalSkipsEpoch(t *testing.T) {
 	}
 	if st := s.Stats(); st.Epoch != 1 {
 		t.Errorf("real removal: epoch=%d, want 1", st.Epoch)
+	}
+}
+
+// TestDynamicCommitDoesNotWaitForReaders holds the current epoch's read
+// side — a solve in flight — across a topology Update with a short
+// deadline. The commit must publish the next epoch and return without
+// waiting for that solve; once the solve ends, the retired epoch must
+// close and Stats must count the solve; and Close must wait for an
+// epoch that is still retiring.
+func TestDynamicCommitDoesNotWaitForReaders(t *testing.T) {
+	p := randomProblem(t, 60, 120, 3, 0.05, 53)
+	fs := durable.NewMemFS()
+	s, err := Prepare(p, MethodLinBP, WithDurabilityFS(fs, "state", DurabilityPolicy{Sync: SyncAlways}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := s.(*dynSolver)
+	ctx := context.Background()
+	if _, err := s.Update(ctx, Update{}); err != nil {
+		t.Fatal(err)
+	}
+	hold := func() *linbpSolver {
+		ls := d.cur.Load().snap.(*linbpSolver)
+		if !ls.begin() {
+			t.Fatal("current epoch already closed")
+		}
+		return ls
+	}
+	// commit runs a one-edge Update with a short deadline; it fails the
+	// test if the Update is still blocked after a generous watchdog
+	// (releasing held so the blocked commit can finish).
+	commit := func(held *linbpSolver, e graph.Edge) {
+		uctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		defer cancel()
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Update(uctx, Update{AddEdges: []graph.Edge{e}})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Update with a solve in flight on the old epoch: %v", err)
+			}
+		case <-time.After(20 * time.Second):
+			held.end()
+			<-done
+			t.Fatal("Update waited for an in-flight solve on the retiring epoch")
+		}
+	}
+
+	old := hold()
+	before := s.Stats().Solves
+	commit(old, graph.Edge{S: 0, T: 59, W: 1})
+	cur := d.cur.Load().snap
+	if cur == snapshot(old) {
+		t.Fatal("the commit did not publish a new epoch")
+	}
+	// The in-flight solve records its outcome before it ends, as every
+	// solve does; the count lands on the retiring epoch.
+	old.solves.Add(1)
+	if got := s.Stats().Solves - cur.Stats().Solves; got != before {
+		t.Fatalf("retired solves = %d before the drain, want %d", got, before)
+	}
+	old.end()
+	d.retiring.Wait()
+	if old.begin() {
+		old.end()
+		t.Fatal("retired epoch still open after its last solve ended")
+	}
+	if got := s.Stats().Solves - cur.Stats().Solves; got != before+1 {
+		t.Fatalf("retired solves = %d after the drain, want %d", got, before+1)
+	}
+
+	// Close waits for a retiring epoch before it releases the durable half.
+	held := hold()
+	commit(held, graph.Edge{S: 1, T: 58, W: 1})
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned (%v) while a retired epoch still had a solve in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	held.end()
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if held.begin() {
+		held.end()
+		t.Fatal("Close returned before the retiring epoch closed")
+	}
+}
+
+// TestDynamicSingleEdgeUpdateAllocsFlat: a single-edge Update on a
+// kernel solver allocates a count that does not grow with the graph —
+// no per-node or per-edge allocation on the commit path (a caller-order
+// graph mirror or a per-node TopAssignment slice would show here).
+func TestDynamicSingleEdgeUpdateAllocsFlat(t *testing.T) {
+	for _, sched := range []Schedule{ScheduleRounds, ScheduleAuto} {
+		t.Run(sched.String(), func(t *testing.T) {
+			allocs := func(power int) float64 {
+				g := gen.Kronecker(power)
+				n := g.N()
+				e, _ := beliefs.Seed(n, 3, beliefs.SeedConfig{Fraction: 0.05, Seed: 3})
+				p := &Problem{Graph: g, Explicit: e, Ho: coupling.Fig6bResidual()}
+				s, err := Prepare(p, MethodLinBP, WithAutoEpsilonH(), WithSchedule(sched),
+					WithUpdatePolicy(UpdatePolicy{CompactionRatio: 1e9}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				ctx := context.Background()
+				if _, err := s.Update(ctx, Update{}); err != nil {
+					t.Fatal(err)
+				}
+				edge := []graph.Edge{{S: 0, T: n - 1, W: 1}}
+				return testing.AllocsPerRun(10, func() {
+					if _, err := s.Update(ctx, Update{AddEdges: edge}); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.Update(ctx, Update{RemoveEdges: edge}); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			small, large := allocs(5), allocs(7)
+			t.Logf("allocs per add+remove pair: power 5 %.0f, power 7 %.0f", small, large)
+			if large > small+16 {
+				t.Fatalf("a single-edge Update allocates %.0f at power 7 against %.0f at power 5 (9x the nodes)", large, small)
+			}
+		})
 	}
 }

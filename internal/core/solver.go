@@ -415,7 +415,7 @@ func Prepare(p *Problem, m Method, opts ...Option) (Solver, error) {
 		var err error
 		// Only LinBP* drops the echo term; BP and FABP borrow LinBP's
 		// criterion.
-		eps, err = autoEpsilon(p.Graph, p.Ho, m != MethodLinBPStar)
+		eps, err = autoEpsilon(p.Graph.Adjacency(), p.Ho, m != MethodLinBPStar)
 		if err != nil {
 			return nil, err
 		}
@@ -487,10 +487,11 @@ func permutedLayout(a *sparse.CSR, d []float64, perm order.Permutation) (*sparse
 	return ap, dp
 }
 
-// autoEpsilon is AutoEpsilonH without the method restriction: half the
-// exact Lemma 8 threshold for the chosen echo setting.
-func autoEpsilon(g *graph.Graph, ho *dense.Matrix, echo bool) (float64, error) {
-	eps, err := linbp.MaxEpsilonH(g, ho, echo, true)
+// autoEpsilon is AutoEpsilonH without the method restriction, on the
+// adjacency a: half the exact Lemma 8 threshold for the chosen echo
+// setting.
+func autoEpsilon(a *sparse.CSR, ho *dense.Matrix, echo bool) (float64, error) {
+	eps, _, err := linbp.ExactThresholdOn(a, ho, echo)
 	if err != nil {
 		return 0, err
 	}

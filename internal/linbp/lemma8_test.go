@@ -229,7 +229,8 @@ func TestCheckConvergenceMatchesDenseRadius(t *testing.T) {
 // TestExactSearchSurfacesNonConvergence: an eigen-solve that misses its
 // tolerance within its cap must fail the criterion, not decide it.
 func TestExactSearchSurfacesNonConvergence(t *testing.T) {
-	m := newLemma8(gen.Kronecker(5), true)
+	a := gen.Kronecker(5).Adjacency()
+	m := newLemma8(a, a.RowSumsSquared())
 	m.lz.MaxIter = 2
 	if _, _, err := m.radius(0.1); !errors.Is(err, errs.ErrNotConverged) {
 		t.Fatalf("capped block radius: err = %v, want ErrNotConverged", err)

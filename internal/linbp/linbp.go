@@ -170,7 +170,8 @@ func CheckConvergence(g *graph.Graph, h *dense.Matrix, echo bool) (*Convergence,
 	if err != nil {
 		return nil, err
 	}
-	m := newLemma8(g, echo)
+	a := g.Adjacency()
+	m := newLemma8(a, echoDegrees(a, echo))
 	c := &Convergence{HNorm: h.MinNorm(), NormBound: m.normBound}
 	for _, lambda := range lambdas {
 		m.lz.Reset()
@@ -206,19 +207,28 @@ func MaxEpsilonH(g *graph.Graph, ho *dense.Matrix, echo bool, exact bool) (float
 		return eps, err
 	}
 	// The norm bound does not depend on Hˆ, so εH < bound/‖Hˆo‖.
-	return newLemma8(g, echo).normBound / ho.MinNorm(), nil
+	a := g.Adjacency()
+	return newLemma8(a, echoDegrees(a, echo)).normBound / ho.MinNorm(), nil
 }
 
 // ExactThreshold is MaxEpsilonH's exact branch, also reporting the
 // n-dimensional operator applications spent. ho must be symmetric (or
-// the error wraps ErrInvalidCoupling). A block's radius depends on its λ
-// only through s = εH·λ, so per sign of s the largest |λ| crosses first.
+// the error wraps ErrInvalidCoupling).
 func ExactThreshold(g *graph.Graph, ho *dense.Matrix, echo bool) (eps float64, matvecs int, err error) {
+	return ExactThresholdOn(g.Adjacency(), ho, echo)
+}
+
+// ExactThresholdOn is ExactThreshold on the adjacency matrix a, so a
+// caller that maintains the matrix without a graph (the dynamic plane's
+// compaction) derives the same threshold. A block's radius depends on
+// its λ only through s = εH·λ, so per sign of s the largest |λ| crosses
+// first.
+func ExactThresholdOn(a *sparse.CSR, ho *dense.Matrix, echo bool) (eps float64, matvecs int, err error) {
 	lambdas, err := couplingSpectrum(ho)
 	if err != nil {
 		return 0, 0, err
 	}
-	m := newLemma8(g, echo)
+	m := newLemma8(a, echoDegrees(a, echo))
 	first, second := slices.Max(append(lambdas, 0)), slices.Min(append(lambdas, 0))
 	if -second > first {
 		first, second = second, first
@@ -249,14 +259,25 @@ type lemma8 struct {
 	lz        spectral.Lanczos
 }
 
-func newLemma8(g *graph.Graph, echo bool) *lemma8 {
-	m := &lemma8{a: g.Adjacency()}
+// echoDegrees returns D's diagonal for newLemma8: the weighted degrees
+// of a (its RowSumsSquared) for LinBP, nil for LinBP*.
+func echoDegrees(a *sparse.CSR, echo bool) []float64 {
+	if !echo {
+		return nil
+	}
+	return a.RowSumsSquared()
+}
+
+// newLemma8 builds the operator on the adjacency a and the weighted
+// degrees d (RowSumsSquared); a nil d drops the echo term (LinBP*).
+func newLemma8(a *sparse.CSR, d []float64) *lemma8 {
+	m := &lemma8{a: a, d: d}
+	if m.d == nil {
+		m.d = make([]float64, a.Rows())
+	}
 	// ‖A‖ is the min over {Frobenius, induced-1, induced-∞}, and all three
 	// norms of the diagonal D are its max; +Inf without edges.
 	normA, maxD := minNormCSR(m.a), 0.0
-	if m.d = g.WeightedDegrees(); !echo {
-		m.d = make([]float64, len(m.d))
-	}
 	for _, v := range m.d {
 		maxD = math.Max(maxD, v)
 	}

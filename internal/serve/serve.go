@@ -570,20 +570,61 @@ func (f *FrontEnd) TopK(class, k int) ([]NodeBelief, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("serve: top-k needs k >= 1, got %d: %w", k, errs.ErrInvalidInput)
 	}
-	if k > f.n {
-		k = f.n
+	return topK(b.Matrix().Data(), f.k, class, k), nil
+}
+
+// outranks is TopK's order: higher belief first, then lower node id.
+func outranks(a, b NodeBelief) bool {
+	if a.Belief != b.Belief {
+		return a.Belief > b.Belief
 	}
-	all := make([]NodeBelief, f.n)
-	for i := 0; i < f.n; i++ {
-		all[i] = NodeBelief{Node: i, Belief: b.Row(i)[class]}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Belief != all[j].Belief {
-			return all[i].Belief > all[j].Belief
+	return a.Node < b.Node
+}
+
+// topK selects the k entries of column class of the row-major n×stride
+// matrix data that rank first under outranks, in rank order. A size-k
+// heap with its lowest-ranked entry at the root keeps the scan
+// O(n log k); only the k survivors are sorted.
+func topK(data []float64, stride, class, k int) []NodeBelief {
+	n := len(data) / stride
+	k = min(k, n)
+	h := make([]NodeBelief, 0, k)
+	for i := 0; i < n; i++ {
+		nb := NodeBelief{Node: i, Belief: data[i*stride+class]}
+		switch {
+		case len(h) < k:
+			h = append(h, nb)
+			if len(h) == k {
+				for j := k/2 - 1; j >= 0; j-- {
+					siftDown(h, j)
+				}
+			}
+		case outranks(nb, h[0]):
+			h[0] = nb
+			siftDown(h, 0)
 		}
-		return all[i].Node < all[j].Node
-	})
-	return all[:k], nil
+	}
+	sort.Slice(h, func(i, j int) bool { return outranks(h[i], h[j]) })
+	return h
+}
+
+// siftDown restores the heap below i: every parent is outranked by its
+// children, so the root is the weakest entry kept.
+func siftDown(h []NodeBelief, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && outranks(h[c], h[c+1]) {
+			c++
+		}
+		if !outranks(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // Degraded reports whether the front end is in read-only mode.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/errs"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/xrand"
 )
 
 func testProblem(t testing.TB, n, edges, k int, seed uint64) *core.Problem {
@@ -647,4 +649,61 @@ func BenchmarkServeSolve(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestTopKMatchesSortReference pins the bounded selection against a
+// full sort under TopK's order (belief descending, then node
+// ascending): ties inside and across the cut, all-equal columns, k = 1,
+// k = n and k > n. The column sits between two noise columns so the
+// stride indexing is exercised too.
+func TestTopKMatchesSortReference(t *testing.T) {
+	rng := xrand.New(7)
+	coarse := make([]float64, 500)
+	for i := range coarse {
+		coarse[i] = float64(rng.Intn(9)-4) / 10 // nine values: heavy ties
+	}
+	for _, tc := range []struct {
+		name string
+		col  []float64
+		k    int
+	}{
+		{"distinct", []float64{0.1, -0.3, 0.7, 0.2, -0.05}, 3},
+		{"ties-at-cut", []float64{0.5, 0.2, 0.5, 0.2, 0.2, -0.1, 0.2}, 3},
+		{"ties-above-cut", []float64{0.2, 0.9, 0.2, 0.9, 0.1}, 3},
+		{"all-equal", []float64{0.25, 0.25, 0.25, 0.25, 0.25, 0.25}, 4},
+		{"k=1", []float64{-0.2, 0.4, 0.4, 0.1}, 1},
+		{"k=n", []float64{0.3, -0.1, 0.3, 0, -0.1}, 5},
+		{"k>n", []float64{0.3, -0.1, 0.3, 0, -0.1}, 12},
+		{"single", []float64{-0.4}, 3},
+		{"many-ties", coarse, 37},
+		{"many-ties/k=n", coarse, len(coarse)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const stride, class = 3, 1
+			data := make([]float64, stride*len(tc.col))
+			for i, v := range tc.col {
+				data[i*stride], data[i*stride+class], data[i*stride+2] = 9, v, -9
+			}
+			want := make([]NodeBelief, len(tc.col))
+			for i, v := range tc.col {
+				want[i] = NodeBelief{Node: i, Belief: v}
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].Belief != want[j].Belief {
+					return want[i].Belief > want[j].Belief
+				}
+				return want[i].Node < want[j].Node
+			})
+			want = want[:min(tc.k, len(want))]
+			got := topK(data, stride, class, tc.k)
+			if len(got) != len(want) {
+				t.Fatalf("len = %d, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("rank %d: got %+v, want %+v\ngot  %v\nwant %v", i, got[i], want[i], got, want)
+				}
+			}
+		})
+	}
 }

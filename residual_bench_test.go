@@ -59,8 +59,8 @@ func residualBenchEps(b *testing.B, g *graph.Graph, e *beliefs.Residual) float64
 // — and iters/update the round-equivalent work.
 //
 // Every topology update pays a fixed commit cost — the O(nnz) overlay
-// merge, compact-index rebuild, and epoch swap — identically under
-// both schedules; the re-solve comparison in EXPERIMENTS.md subtracts
+// merge, the snapshot build (degrees and engines) and the epoch swap —
+// identically under both schedules; the re-solve comparison in EXPERIMENTS.md subtracts
 // the `floor` variant (tol so loose the warm seed already satisfies
 // it, so the re-solve is a no-op and the op measures the commit path
 // alone) from the per-schedule totals.
